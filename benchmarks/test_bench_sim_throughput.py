@@ -1,9 +1,10 @@
 """Benchmark: simulator throughput and parallel-sweep speedup.
 
 Unlike the figure benchmarks (which report *simulated* metrics), this
-benchmark tracks the *simulator's own* speed so the perf trajectory in the
-``BENCH_*.json`` archives captures the run-batched data-movement engine,
-the sharded sweep engine and any future hot-path work.  Numbers reported:
+benchmark tracks the *simulator's own* speed so the perf trajectory in
+pytest-benchmark's recorded ``extra_info`` captures the run-batched
+data-movement engine, the sharded sweep engine and any future hot-path
+work.  Numbers reported:
 
 * simulated instructions per second of wall-clock for one Conduit-policy
   run of the heaviest workload (LLM Training), including platform
@@ -21,11 +22,7 @@ and the parallel engine divides the remaining wall-clock by the worker
 count on multi-core machines.
 """
 
-import dataclasses
-import json
 import os
-import platform as host_platform
-import sys
 import time
 
 import pytest
@@ -163,154 +160,6 @@ def test_bench_parallel_sweep_speedup(benchmark, bench_config):
         assert speedup >= 2.0, (
             f"parallel sweep only {speedup:.2f}x faster with {workers} "
             f"workers on {cpus} CPUs")
-
-
-#: Where the vectorized-engine perf record lands (repo root, next to the
-#: other ``BENCH_*`` archives the docstring describes).
-BENCH_RECORD_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                                 "BENCH_vectorized.json")
-
-#: Schema version of the archived record.  The record is *tracked* but
-#: overwritten by every benchmark run, so each entry must carry enough
-#: metadata (scale, host, schema) to be interpretable after the machine
-#: that wrote it is gone -- and so that a stale-schema entry fails the
-#: suite loudly (``tests/test_bench_record.py`` pins the same literal)
-#: instead of silently mixing fields from different eras.
-#: Version 2: added ``schema_version``, ``host`` and ``recorded_unix``.
-#: Version 3: added the wave-batched offload-decision A/B
-#: (``reference_offload_sweep_s``, ``batched_over_reference_speedup``,
-#: ``pr8_landing_vs_reference``) and the default-engine floor asserts.
-BENCH_RECORD_SCHEMA_VERSION = 3
-
-#: Fail-loud floor for "the default engine must not lose to its golden
-#: reference".  Single-round wall-clock on a shared 1-CPU runner swings
-#: by tens of percent, so the floor is a noise allowance, not a target:
-#: a genuine regression (like the archived 0.85x object-vs-vectorized
-#: reading at scale 1.0, since fixed by the single-page fast path)
-#: trips it, while scheduler jitter does not.
-DEFAULT_ENGINE_FLOOR = 0.70
-
-
-def _host_metadata():
-    """Where the record's live numbers were measured."""
-    return {
-        "platform": host_platform.platform(),
-        "machine": host_platform.machine(),
-        "python": sys.version.split()[0],
-        "usable_cpus": _usable_cpus(),
-    }
-
-#: The paired A/B numbers recorded when the vectorized engine landed
-#: (PR 6): Fig. 7 serial sweep at scale 0.25, alternating
-#: baseline/current subprocesses on the same machine, best-vs-best over
-#: 8 pairs.  Kept in the record so the trajectory has its anchor even
-#: when the live run below executes on different hardware.
-PR6_LANDING_RECORD = {
-    "scale": 0.25,
-    "pr5_baseline_best_s": 2.434,
-    "vectorized_best_s": 1.057,
-    "speedup_best_vs_best": 2.30,
-    "per_pair_speedup_range": [2.0, 4.3],
-    "methodology": ("paired A/B subprocess harness, alternating engines, "
-                    "warm run timed; best-vs-best is the conservative "
-                    "ratio under machine noise"),
-}
-
-#: The paired A/B numbers recorded when the wave-batched offload
-#: decision engine landed (PR 8): Fig. 7 serial sweep at scale 0.25, 10
-#: alternating in-process pairs after warmup on the same (1-CPU, noisy)
-#: machine.  Honest result: the ISSUE targeted >= 1.5x but the measured
-#: outcome is parity-to-slight-win -- real Fig. 7 programs slice into
-#: ~1.5-member waves (operand overlap forces wave breaks), so the win
-#: comes from the cheaper packed per-member decision path, not from
-#: amortized collection.  Recorded anyway per the acceptance criteria;
-#: the differential suite (``tests/test_batched_offload.py``) pins the
-#: engines bit-equal, so the default stays on the batched path.
-PR8_LANDING_RECORD = {
-    "scale": 0.25,
-    "reference_offload_best_s": 1.298,
-    "batched_offload_best_s": 1.269,
-    "speedup_best_vs_best": 1.02,
-    "median_pair_speedup": 1.05,
-    "target_speedup": 1.5,
-    "target_met": False,
-    "mean_wave_members": 1.47,
-    "methodology": ("paired A/B in-process harness, 10 alternating "
-                    "warm pairs, gc.collect() before each sweep; "
-                    "best-vs-best plus the median per-pair ratio "
-                    "under heavy 1-CPU machine noise"),
-}
-
-
-def test_bench_vectorized_engine_record(benchmark, bench_config):
-    """Time the default engine against both golden references; archive.
-
-    Three Fig. 7 sweeps in one timed round: the default configuration
-    (vectorized movement + batched offload decisions), the object
-    movement engine, and the per-instruction reference decision path.
-    The live ratios track the current machine; the archived JSON also
-    carries the pinned PR 6 and PR 8 landing measurements so the perf
-    trajectory is recorded even as hardware changes underneath CI.
-    Fails loudly (``DEFAULT_ENGINE_FLOOR``) when the default engine
-    loses to either reference beyond single-round noise.
-    """
-    object_config = dataclasses.replace(
-        bench_config,
-        platform=dataclasses.replace(bench_config.platform,
-                                     vectorized_movement=False))
-    reference_config = dataclasses.replace(
-        bench_config,
-        platform=dataclasses.replace(bench_config.platform,
-                                     batched_offload=False))
-
-    def all_engines():
-        vec_results, vec_s = _full_sweep(bench_config)
-        obj_results, obj_s = _full_sweep(object_config)
-        ref_results, ref_s = _full_sweep(reference_config)
-        return vec_results, vec_s, obj_results, obj_s, ref_results, ref_s
-
-    (vec_results, vec_s, obj_results, obj_s,
-     ref_results, ref_s) = run_once(benchmark, all_engines)
-    # Bit-equality is the engines' contract; a perf benchmark that
-    # silently compared different answers would be meaningless.
-    _assert_identical(vec_results, obj_results)
-    _assert_identical(vec_results, ref_results)
-    movement_ratio = obj_s / vec_s if vec_s else float("inf")
-    decision_ratio = ref_s / vec_s if vec_s else float("inf")
-    record = {
-        "schema_version": BENCH_RECORD_SCHEMA_VERSION,
-        "bench_scale": BENCH_SCALE,
-        "host": _host_metadata(),
-        "recorded_unix": round(time.time(), 3),
-        "sweep_pairs": len(vec_results),
-        "vectorized_sweep_s": vec_s,
-        "object_sweep_s": obj_s,
-        "reference_offload_sweep_s": ref_s,
-        "vectorized_over_object_speedup": movement_ratio,
-        "batched_over_reference_speedup": decision_ratio,
-        "pr6_landing_vs_pr5": PR6_LANDING_RECORD,
-        "pr8_landing_vs_reference": PR8_LANDING_RECORD,
-    }
-    with open(BENCH_RECORD_PATH, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    benchmark.extra_info.update(record)
-    print(f"\nDefault engine: {vec_s:.2f} s vs object movement "
-          f"{obj_s:.2f} s ({movement_ratio:.2f}x) vs reference decisions "
-          f"{ref_s:.2f} s ({decision_ratio:.2f}x) at scale {BENCH_SCALE} "
-          f"(record: {os.path.abspath(BENCH_RECORD_PATH)})")
-    assert vec_s > 0 and obj_s > 0 and ref_s > 0
-    # The default engine must not *lose* to its golden references: the
-    # archived 0.85x era (object engine beating the vectorized one at
-    # scale 1.0) is exactly the regression class this guards against.
-    assert movement_ratio >= DEFAULT_ENGINE_FLOOR, (
-        f"vectorized movement engine lost to the object reference "
-        f"({movement_ratio:.2f}x < {DEFAULT_ENGINE_FLOOR}x floor) at "
-        f"scale {BENCH_SCALE}")
-    assert decision_ratio >= DEFAULT_ENGINE_FLOOR, (
-        f"batched offload engine lost to the per-instruction reference "
-        f"({decision_ratio:.2f}x < {DEFAULT_ENGINE_FLOOR}x floor) at "
-        f"scale {BENCH_SCALE}")
 
 
 @pytest.mark.slow

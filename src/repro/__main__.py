@@ -1,8 +1,6 @@
 """``python -m repro`` -- the unified experiment CLI.
 
-One entry point for the whole evaluation, replacing the per-figure
-``python -m repro.experiments.<module>`` invocations (which remain as
-deprecation shims that forward here):
+One entry point for the whole evaluation:
 
 * ``python -m repro list`` -- registered experiments and platform variants;
 * ``python -m repro run <experiment>`` -- run one registry entry, with
@@ -117,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: no function is double-counted.  Order matters only where a later
 #: rule's fragment is a prefix of an earlier one's directory.
 PROFILE_PHASES = (
-    ("collect", ("core/offload/features", "core/compiler/waves")),
+    ("collect", ("core/offload/features",)),
     ("decide", ("core/offload/policies", "core/offload/cost_model",
                 "core/offload/offloader")),
     ("transform", ("core/offload/transform",)),
@@ -322,13 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "compare":
         return _cmd_compare(args)
     return _cmd_run(args)
-
-
-def run_module_shim(experiment: str) -> None:
-    """Back-compat entry for ``python -m repro.experiments.<module>``."""
-    print(f"note: `python -m repro.experiments.…` is deprecated; use "
-          f"`python -m repro run {experiment}`", file=sys.stderr)
-    sys.exit(main(["run", experiment]))
 
 
 if __name__ == "__main__":

@@ -180,12 +180,6 @@ class VectorProgram:
         #: build time turns the layout cache's equality probes (one per
         #: operand per offload) into pure identity hits.
         self._ref_intern: Dict[ArrayRef, ArrayRef] = {}
-        #: Wave-plan cache maintained by the batched offload engine's
-        #: dependency slicer (:mod:`repro.core.compiler.waves`): one
-        #: ``(key, plan)`` entry, invalidated on any program mutation.
-        #: Array placement is deterministic per program, so the plan is
-        #: reusable across every run of the same compiled program.
-        self._wave_plan: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -198,7 +192,6 @@ class VectorProgram:
     def declare_array(self, spec: ArraySpec) -> ArraySpec:
         self.arrays[spec.name] = spec
         self._encoded_binary = None
-        self._wave_plan = None
         return spec
 
     def add(self, instruction: VectorInstruction) -> VectorInstruction:
@@ -218,7 +211,6 @@ class VectorProgram:
             s for s in instruction.sources if s.__class__ is ArrayRef]
         self.instructions.append(instruction)
         self._encoded_binary = None
-        self._wave_plan = None
         return instruction
 
     # -- Queries ------------------------------------------------------------------

@@ -24,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.common import DataLocation, OpType, ResourceLike, US
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
-from repro.core.platform import CODE_LOCATIONS, SSDPlatform
+from repro.core.platform import SSDPlatform
 
 #: Fixed per-component collection latencies from Section 4.5.
 L2P_DRAM_LOOKUP_NS = 100.0
@@ -110,52 +108,6 @@ class InstructionFeatures:
         instead of a hardcoded resource trio.
         """
         return tuple(self.per_resource)
-
-
-@dataclass(slots=True)
-class WaveBatch:
-    """Precollected feature components of one wave (struct-of-arrays).
-
-    Built by :meth:`FeatureCollector.collect_batch` in one strictly
-    read-only pass.  Live terms -- queueing delays, dependence delay,
-    contention penalties -- are *not* here; the offloader reads them at
-    each member's decision time, which is what keeps the wave engine
-    bit-identical to the sequential reference.  ``eviction_epoch`` /
-    ``mapping_version`` snapshot the two hazard counters; the offloader
-    revalidates them before every member and marks the batch ``dead``
-    (sticky fallback to the per-instruction path) on any change.
-    """
-
-    instructions: List["VectorInstruction"]
-    #: Per member: source ``(base_lpa, count)`` runs and destination run.
-    source_runs: List[Tuple[Tuple[int, int], ...]]
-    dest_runs: List[Optional[Tuple[int, int]]]
-    #: Per member: the location histogram's items in first-occurrence
-    #: page order (the order the movement sums accumulate in).
-    location_items: List[Tuple[Tuple[DataLocation, int], ...]]
-    #: Per member: LPAs whose L2P probe hit the mapping cache, in page
-    #: order -- replayed (LRU refresh only) at the member's decision time.
-    hit_lpas: List[Tuple[int, ...]]
-    collection_ns: List[float]
-    #: Per member: the shape's static candidate rows
-    #: ``(resource, home, supported, compute_latency, queue)``.
-    static: List[list]
-    #: Per member: collector-gated raw movement sums, one pure-Python
-    #: float per candidate (what the decision path consumes directly --
-    #: a numpy scalar leaking into the cost arithmetic would break the
-    #: bit-equality contract).
-    movement_rows: List[List[float]]
-    eviction_epoch: int
-    mapping_version: int
-    dead: bool = False
-
-    def movement_matrix(self) -> np.ndarray:
-        """The movement sums as a ``(members x candidates)`` float64
-        matrix, for vectorized consumers (built on demand: the scalar
-        decision path reads ``movement_rows`` directly and typical waves
-        are small, so an eager per-wave allocation would cost more than
-        it saves)."""
-        return np.asarray(self.movement_rows, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -239,45 +191,8 @@ class FeatureCollector:
         locations_get = locations.get
         l2p_hits = 0
         l2p_misses = 0
-        # Under the vectorized engine the flat code array mirrors the
-        # residence dict, so a uniform run (the common case) resolves its
-        # histogram entry with one C-level byte count; mixed runs keep the
-        # page-ordered walk so the histogram's first-occurrence insertion
-        # order -- and with it the movement sum's accumulation order -- is
-        # untouched.
-        codes_bytes = platform._codes_bytes
         for base, run_pages in runs:
-            end = base + run_pages
-            if codes_bytes is not None:
-                if len(codes_bytes) < end:
-                    platform._codes_for(end)
-                    codes_bytes = platform._codes_bytes
-                # Single-page runs (the dominant case at the paper's
-                # 16 KiB page / 16 KiB vector shape) index the code byte
-                # directly: no slice allocation, no count.
-                if run_pages == 1:
-                    location = CODE_LOCATIONS[codes_bytes[base]]
-                    locations[location] = locations_get(location, 0) + 1
-                    if base in entries:
-                        move_to_end(base)
-                        l2p_hits += 1
-                    else:
-                        l2p_misses += 1
-                    continue
-                run_codes = codes_bytes[base:end]
-                first = run_codes[0]
-                if run_codes.count(first) == run_pages:
-                    location = CODE_LOCATIONS[first]
-                    locations[location] = (locations_get(location, 0)
-                                           + run_pages)
-                    for lpa in range(base, end):
-                        if lpa in entries:
-                            move_to_end(lpa)
-                            l2p_hits += 1
-                        else:
-                            l2p_misses += 1
-                    continue
-            for lpa in range(base, end):
+            for lpa in range(base, base + run_pages):
                 location = residence_get(lpa, flash)
                 locations[location] = locations_get(location, 0) + 1
                 if lpa in entries:
@@ -366,161 +281,6 @@ class FeatureCollector:
                 if supported else float("inf"), queues[resource]))
         self._static_features[static_key] = static
         return static
-
-    # -- Wave-batched collection (PlatformConfig.batched_offload) -------------------
-
-    def collect_batch(self, instructions: List[VectorInstruction],
-                      source_runs: List[Tuple[Tuple[int, int], ...]],
-                      dest_runs: List[Optional[Tuple[int, int]]]
-                      ) -> WaveBatch:
-        """Precollect the static feature components of one wave.
-
-        One strictly read-only pass gathers, per member: the
-        operand-location histogram (first-occurrence page order
-        preserved), the L2P hit/miss partition (membership probes only --
-        the LRU refreshes are *replayed* at each member's decision time so
-        the mapping cache sees exactly the sequential access order), the
-        per-candidate movement-table sums (pure-Python rows; the
-        ``members x candidates`` numpy matrix is built on demand by
-        :meth:`WaveBatch.movement_matrix`), and the member's fixed
-        collection latency (identical per-component charges to
-        :meth:`collect`, so Section 4.5's overhead reproduction is
-        unchanged).  Live terms -- queueing delay, dependence delay,
-        contention penalties -- are deliberately absent: the offloader
-        reads them at each member's own decision time.
-        """
-        platform = self.platform
-        entries = platform.ssd.ftl.cache._entries
-        residence_get = platform.residence.get
-        codes_bytes = platform._codes_bytes
-        flash = DataLocation.FLASH
-        move_table = platform._move_table
-        include_movement = self.config.include_data_movement
-        feedback = platform.config.contention_feedback
-        # All collection-latency terms are integer-valued floats, so the
-        # fixed per-member constants sum exactly in any association.
-        fixed_ns = DEPENDENCE_SCAN_NS_PER_QUEUE + QUEUE_DELAY_TRACK_NS
-        if feedback:
-            fixed_ns += CONTENTION_SAMPLE_NS
-        static_features_get = self._static_features.get
-        location_items: List[Tuple[Tuple[DataLocation, int], ...]] = []
-        hit_lpas: List[Tuple[int, ...]] = []
-        collection_ns: List[float] = []
-        statics: List[list] = []
-        movement_rows: List[List[float]] = []
-        for pos, instruction in enumerate(instructions):
-            locations: Dict[DataLocation, int] = {}
-            locations_get = locations.get
-            hits: List[int] = []
-            hits_append = hits.append
-            misses = 0
-            for base, run_pages in source_runs[pos]:
-                end = base + run_pages
-                if codes_bytes is not None:
-                    if len(codes_bytes) < end:
-                        platform._codes_for(end)
-                        codes_bytes = platform._codes_bytes
-                    if run_pages == 1:
-                        location = CODE_LOCATIONS[codes_bytes[base]]
-                        locations[location] = locations_get(location, 0) + 1
-                        if base in entries:
-                            hits_append(base)
-                        else:
-                            misses += 1
-                        continue
-                    run_codes = codes_bytes[base:end]
-                    first = run_codes[0]
-                    if run_codes.count(first) == run_pages:
-                        location = CODE_LOCATIONS[first]
-                        locations[location] = (locations_get(location, 0)
-                                               + run_pages)
-                        for lpa in range(base, end):
-                            if lpa in entries:
-                                hits_append(lpa)
-                            else:
-                                misses += 1
-                        continue
-                for lpa in range(base, end):
-                    location = residence_get(lpa, flash)
-                    locations[location] = locations_get(location, 0) + 1
-                    if lpa in entries:
-                        hits_append(lpa)
-                    else:
-                        misses += 1
-            static_key = (instruction.op, instruction.size_bytes,
-                          instruction.element_bits)
-            static = static_features_get(static_key)
-            if static is None:
-                static = self._resolve_static(static_key)
-            collection_ns.append(
-                len(hits) * L2P_DRAM_LOOKUP_NS
-                + misses * L2P_FLASH_LOOKUP_NS + fixed_ns
-                + (MOVE_TABLE_LOOKUP_NS + COMPUTE_TABLE_LOOKUP_NS)
-                * len(static))
-            items = tuple(locations.items())
-            location_items.append(items)
-            hit_lpas.append(tuple(hits))
-            statics.append(static)
-            if not include_movement:
-                movement_rows.append([0.0] * len(static))
-            elif len(items) == 1:
-                (single_location, single_pages), = items
-                movement_rows.append(
-                    [move_table[(single_location, home)] * single_pages
-                     for _, home, _, _, _ in static])
-            else:
-                row = []
-                for _, home, _, _, _ in static:
-                    total = 0.0
-                    for location, pages in items:
-                        total += move_table[(location, home)] * pages
-                    row.append(total)
-                movement_rows.append(row)
-        return WaveBatch(
-            instructions=instructions, source_runs=source_runs,
-            dest_runs=dest_runs, location_items=location_items,
-            hit_lpas=hit_lpas, collection_ns=collection_ns, static=statics,
-            movement_rows=movement_rows,
-            eviction_epoch=platform.eviction_epoch,
-            mapping_version=platform.ssd.ftl.cache.version)
-
-    def charge(self, collection_ns: float) -> None:
-        """Account one precollected member's collection latency.
-
-        The same counters :meth:`collect` maintains, applied in member
-        order so the accumulated totals stay bit-identical to the
-        sequential reference.
-        """
-        self.collections += 1
-        self.total_collection_latency_ns += collection_ns
-        if collection_ns > self.max_collection_latency_ns:
-            self.max_collection_latency_ns = collection_ns
-
-    def materialize(self, batch: WaveBatch, pos: int,
-                    dependence_delay_ns: float,
-                    queue_delays_ns: List[float],
-                    contention_delays_ns: List[float]
-                    ) -> InstructionFeatures:
-        """Build one member's full feature vector from the batch.
-
-        Bit-identical to what :meth:`collect` would return at the same
-        decision point (the caller supplies the live terms it read at that
-        point) -- the automatic per-instruction fallback for policies
-        without a packed entry point.
-        """
-        instruction = batch.instructions[pos]
-        row = batch.movement_rows[pos]
-        per_resource: Dict[ResourceLike, ResourceFeatures] = {}
-        for index, (resource, _, supported, compute,
-                    _) in enumerate(batch.static[pos]):
-            per_resource[resource] = ResourceFeatures(
-                resource, supported, compute, row[index],
-                queue_delays_ns[index], dependence_delay_ns,
-                contention_delays_ns[index])
-        return InstructionFeatures(
-            instruction.uid, instruction.op,
-            dict(batch.location_items[pos]), per_resource,
-            batch.collection_ns[pos], list(batch.source_runs[pos]))
 
     @property
     def average_collection_latency_ns(self) -> float:

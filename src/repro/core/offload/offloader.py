@@ -32,9 +32,8 @@ from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
 from repro.core.offload.features import (FeatureCollector,
                                          FeatureCollectorConfig,
-                                         InstructionFeatures, WaveBatch)
-from repro.core.offload.policies import (OffloadingPolicy, PackedMember,
-                                         PolicyContext)
+                                         InstructionFeatures)
+from repro.core.offload.policies import OffloadingPolicy, PolicyContext
 from repro.core.offload.transform import (InstructionTransformer,
                                           TransformedInstruction)
 from repro.core.platform import SSDPlatform
@@ -62,9 +61,7 @@ class OffloadDecision:
 
     instruction: VectorInstruction
     resource: ResourceLike
-    #: The full feature vector (``None`` on the wave-batched fast path,
-    #: which decides from packed scalars without materializing one).
-    features: Optional[InstructionFeatures]
+    features: InstructionFeatures
     transformed: Optional[TransformedInstruction]
     dispatch_ns: float
     ready_ns: float
@@ -94,14 +91,9 @@ class SSDOffloader:
         self._pipeline_depth = max(1, self.config.pipeline_depth)
         self._is_ideal = policy.is_ideal
         self._choose = policy.choose
-        self._choose_packed = policy.choose_packed
         self._collect = self.collector.collect
         self._transform = self.transformer.transform
         self._dispatch_core = platform.dispatch_core
-        #: One reusable packed-member carrier for the wave-batched path;
-        #: policies read it synchronously inside ``choose_packed`` and
-        #: never retain it (mirrors the reusable PolicyContext below).
-        self._packed = PackedMember(self.collector)
         #: One reusable policy context; policies read it synchronously
         #: inside ``choose`` and never retain it.
         self._context = PolicyContext(platform=platform, now=0.0, elapsed=1.0)
@@ -195,137 +187,10 @@ class SSDOffloader:
                                   deps_ready_ns, overhead_ns, source_runs,
                                   dest_run, compute, movement_estimate)
 
-    # -- Wave-batched entry points (PlatformConfig.batched_offload) ---------------------
-
-    def begin_wave(self, instructions: List[VectorInstruction],
-                   source_runs: List[Tuple[Tuple[int, int], ...]],
-                   dest_runs: List[Optional[Tuple[int, int]]]) -> WaveBatch:
-        """Precollect one dependence-free, page-disjoint wave's features."""
-        return self.collector.collect_batch(instructions, source_runs,
-                                            dest_runs)
-
-    def offload_member(self, batch: Optional[WaveBatch], pos: int,
-                       instruction: VectorInstruction, arrival_ns: float,
-                       deps_ready_ns: float,
-                       elapsed_ns: float) -> OffloadDecision:
-        """Offload one wave member from its precollected features.
-
-        Bit-identical to :meth:`offload` by construction: the precollected
-        components cannot have changed since collection (the wave is
-        page-disjoint and the hazard counters are revalidated below), the
-        LRU refreshes recorded at precollect time are replayed here so the
-        mapping cache sees the exact sequential access order, and every
-        live term -- queueing delay, dependence delay, contention
-        penalties -- is read at this member's own decision time exactly as
-        :meth:`FeatureCollector.collect` would.  Any hazard kills the
-        whole batch (sticky) and falls back to the reference path.
-        """
-        if batch is None or batch.dead:
-            return self.offload(instruction, arrival_ns, deps_ready_ns,
-                                elapsed_ns)
-        platform = self.platform
-        cache = platform.ssd.ftl.cache
-        if (platform.eviction_epoch != batch.eviction_epoch
-                or cache.version != batch.mapping_version):
-            # A previous member's dispatch evicted a page or churned the
-            # L2P cache membership: the precollected locations / hit
-            # partitions may be stale for the rest of the wave.
-            batch.dead = True
-            return self.offload(instruction, arrival_ns, deps_ready_ns,
-                                elapsed_ns)
-        if arrival_ns >= self._next_retire:
-            self._drain_queues(arrival_ns)
-        pending_producer = deps_ready_ns - arrival_ns
-        if pending_producer < 0.0:
-            pending_producer = 0.0
-        # Replay the LRU refreshes the sequential collect would issue at
-        # this decision point (membership is unchanged -- revalidated
-        # above -- so the recorded hits are still hits).
-        move_to_end = cache._entries.move_to_end
-        for lpa in batch.hit_lpas[pos]:
-            move_to_end(lpa)
-        collection_ns = batch.collection_ns[pos]
-        self.collector.charge(collection_ns)
-
-        config = self.collector.config
-        dependence = (pending_producer
-                      if config.include_dependence_delay else 0.0)
-        include_queueing = config.include_queueing_delay
-        feedback = platform.config.contention_feedback
-        static = batch.static[pos]
-        movement_row = batch.movement_rows[pos]
-        op = instruction.op
-        size_bytes = instruction.size_bytes
-        element_bits = instruction.element_bits
-        penalty = platform.contention_penalty_ns
-        queue_delays: List[float] = []
-        contention_delays: List[float] = []
-        for index, (resource, _, _, _, queue) in enumerate(static):
-            queue_delays.append(queue._pending_latency / queue._parallelism
-                                if include_queueing else 0.0)
-            contention_delays.append(
-                penalty(resource, op, size_bytes, element_bits,
-                        movement_row[index], arrival_ns)
-                if feedback else 0.0)
-
-        packed = self._packed
-        packed.batch = batch
-        packed.index = pos
-        packed.instruction = instruction
-        packed.static = static
-        packed.movement_ns = movement_row
-        packed.queue_delays_ns = queue_delays
-        packed.contention_delays_ns = contention_delays
-        packed.dependence_delay_ns = dependence
-        context = self._context
-        context.now = arrival_ns
-        context.elapsed = elapsed_ns if elapsed_ns > 1.0 else 1.0
-        resource = self._choose_packed(packed, context)
-        overhead_ns = collection_ns
-        transformed: Optional[TransformedInstruction] = None
-        if not self._is_ideal:
-            transformed = self._transform(instruction, resource)
-            overhead_ns += transformed.lookup_latency_ns
-        serial_ns = overhead_ns / self._pipeline_depth
-        core = self._dispatch_core
-        free = core._free_at
-        dispatch_start = arrival_ns if arrival_ns >= free else free
-        core._free_at = dispatch_start + serial_ns
-        core.busy_time += serial_ns
-        core.jobs += 1
-        issue_ns = dispatch_start + overhead_ns
-
-        chosen_index = -1
-        for index, entry in enumerate(static):
-            if entry[0] == resource:
-                chosen_index = index
-                break
-        if self._is_ideal:
-            if chosen_index >= 0:
-                compute = static[chosen_index][3]
-            else:
-                compute = platform.backends._backends[
-                    resource].operation_latency(op, size_bytes, element_bits)
-            return self._execute_ideal(instruction, None, resource,
-                                       dispatch_start, issue_ns,
-                                       deps_ready_ns, overhead_ns, compute)
-        if chosen_index >= 0:
-            entry = static[chosen_index]
-            compute = entry[3] if entry[2] else None
-            movement_estimate = movement_row[chosen_index]
-        else:
-            compute = None
-            movement_estimate = 0.0
-        return self._execute_real(instruction, None, resource, transformed,
-                                  dispatch_start, issue_ns, deps_ready_ns,
-                                  overhead_ns, batch.source_runs[pos],
-                                  batch.dest_runs[pos], compute,
-                                  movement_estimate)
-
     # -- Ideal execution (no contention, free data movement) ------------------------------
 
     def _execute_ideal(self, instruction: VectorInstruction,
-                       features: Optional[InstructionFeatures],
+                       features: InstructionFeatures,
                        resource: ResourceLike,
                        dispatch_ns: float, issue_ns: float,
                        deps_ready_ns: float, overhead_ns: float,
@@ -344,7 +209,7 @@ class SSDOffloader:
     # -- Real execution (moves data, reserves queues) ---------------------------------------
 
     def _execute_real(self, instruction: VectorInstruction,
-                      features: Optional[InstructionFeatures],
+                      features: InstructionFeatures,
                       resource: ResourceLike,
                       transformed: TransformedInstruction,
                       dispatch_ns: float, issue_ns: float,

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.common import OpType, Resource, ResourceLike, SimulationError
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.offload.cost_model import CostFunction, CostModelConfig
-from repro.core.offload.features import InstructionFeatures, WaveBatch
+from repro.core.offload.features import InstructionFeatures
 from repro.core.platform import SSDPlatform
 
 
@@ -37,41 +37,6 @@ class PolicyContext:
     platform: SSDPlatform
     now: float
     elapsed: float
-
-
-@dataclass(slots=True)
-class PackedMember:
-    """One wave member's packed feature view (the batch-path carrier).
-
-    The wave-batched offloader owns a single instance and mutates it per
-    member (like :class:`PolicyContext`): policies read it synchronously
-    inside :meth:`OffloadingPolicy.choose_packed` and never retain it.
-    The live fields (``queue_delays_ns``, ``contention_delays_ns``,
-    ``dependence_delay_ns``) were read at this member's decision time;
-    the rest comes from the wave's precollected batch.  All values are
-    collector-gated exactly like :class:`ResourceFeatures` fields, so
-    :meth:`features` can materialize the member's full feature vector
-    bit-identically -- that is the automatic per-instruction fallback.
-    """
-
-    collector: object
-    batch: Optional[WaveBatch] = None
-    index: int = 0
-    instruction: Optional[VectorInstruction] = None
-    #: Per-candidate static rows
-    #: ``(resource, home, supported, compute_latency, queue)``.
-    static: Optional[list] = None
-    #: Per-candidate raw movement sums (collector-gated table lookups).
-    movement_ns: Optional[List[float]] = None
-    queue_delays_ns: Optional[List[float]] = None
-    contention_delays_ns: Optional[List[float]] = None
-    dependence_delay_ns: float = 0.0
-
-    def features(self) -> InstructionFeatures:
-        """Materialize the member's full :class:`InstructionFeatures`."""
-        return self.collector.materialize(
-            self.batch, self.index, self.dependence_delay_ns,
-            self.queue_delays_ns, self.contention_delays_ns)
 
 
 class OffloadingPolicy(abc.ABC):
@@ -94,19 +59,6 @@ class OffloadingPolicy(abc.ABC):
                features: InstructionFeatures,
                context: PolicyContext) -> ResourceLike:
         """Pick the compute backend for ``instruction``."""
-
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        """Batch entry point used by the wave-batched offload engine.
-
-        The default implementation is the automatic per-instruction
-        fallback: it materializes the member's full feature vector and
-        delegates to :meth:`choose`, so custom policies stay correct --
-        and bit-identical -- under ``PlatformConfig.batched_offload``
-        without any change.  Policies with a cheaper packed evaluation
-        (Conduit's cost function) override it.
-        """
-        return self.choose(packed.instruction, packed.features(), context)
 
     def _supported(self, features: InstructionFeatures
                    ) -> Dict[ResourceLike, bool]:
@@ -142,36 +94,6 @@ class OffloadingPolicy(abc.ABC):
                 return resource
         raise SimulationError("no resource supports the instruction")
 
-    # -- Packed (wave-batch) helpers, mirroring the feature-object ones ---------------
-    #
-    # Static rows are ``(resource, home, supported, compute_latency,
-    # queue)`` in registration order, so each helper below walks them in
-    # exactly the order its feature-object counterpart walks
-    # ``per_resource`` -- every strict ``<`` keeps the first minimum,
-    # which is ``min``'s own first-occurrence tie-break.
-
-    @staticmethod
-    def _packed_fallback(static: list) -> ResourceLike:
-        for entry in static:
-            if entry[2]:
-                return entry[0]
-        raise SimulationError("no resource supports the instruction")
-
-    @staticmethod
-    def _packed_least_queued(packed: PackedMember,
-                             indices: List[int]) -> ResourceLike:
-        """The least-backlogged of the candidates at ``indices``."""
-        queue_delays_ns = packed.queue_delays_ns
-        static = packed.static
-        target: Optional[ResourceLike] = None
-        best = 0.0
-        for index in indices:
-            delay = queue_delays_ns[index]
-            if target is None or delay < best:
-                target = static[index][0]
-                best = delay
-        return target
-
 
 class ConduitPolicy(OffloadingPolicy):
     """The paper's holistic cost-function policy (Equations 1 and 2)."""
@@ -185,55 +107,6 @@ class ConduitPolicy(OffloadingPolicy):
                features: InstructionFeatures,
                context: PolicyContext) -> ResourceLike:
         target, _ = self.cost_function.select(features)
-        return target
-
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        """Equations 1 and 2 over the packed scalars, no feature objects.
-
-        Term for term and in the same expression order as
-        :meth:`CostFunction.estimate` /
-        :meth:`CostFunction.select` (strict ``<`` keeps the first
-        minimum, the registration-order tie-break), so the result is
-        bit-identical to the materialize-and-select fallback.
-        """
-        cost_function = self.cost_function
-        config = cost_function.config
-        cost_function.evaluations += 1
-        include_compute = config.include_compute_latency
-        include_movement = config.include_data_movement
-        include_queueing = config.include_queueing_delay
-        dependence = (packed.dependence_delay_ns
-                      if config.include_dependence_delay else 0.0)
-        combine_max = config.combine_delays_with_max
-        movement_ns = packed.movement_ns
-        contention_ns = packed.contention_delays_ns
-        queue_delays_ns = packed.queue_delays_ns
-        target: Optional[ResourceLike] = None
-        best = float("inf")
-        for index, (resource, _, supported, compute_ns,
-                    _) in enumerate(packed.static):
-            if not supported:
-                continue
-            compute = compute_ns if include_compute else 0.0
-            if include_movement:
-                raw = movement_ns[index]
-                contention = contention_ns[index]
-                movement = raw if contention == 0.0 else raw + contention
-            else:
-                movement = 0.0
-            queueing = (queue_delays_ns[index] if include_queueing
-                        else 0.0)
-            overlap = ((dependence if dependence >= queueing else queueing)
-                       if combine_max else dependence + queueing)
-            total = compute + movement + overlap
-            if total < best:
-                target = resource
-                best = total
-        if target is None:
-            raise SimulationError(
-                f"no SSD resource supports operation "
-                f"{packed.instruction.op.value}")
         return target
 
 
@@ -258,21 +131,6 @@ class IdealPolicy(OffloadingPolicy):
         return min(viable, key=lambda r: (
             features.feature(r).expected_compute_latency_ns, r.value))
 
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        target: Optional[ResourceLike] = None
-        best_key = None
-        for resource, _, supported, compute_ns, _ in packed.static:
-            if not supported:
-                continue
-            key = (compute_ns, resource.value)
-            if best_key is None or key < best_key:
-                target = resource
-                best_key = key
-        if target is None:
-            raise SimulationError("no resource supports the instruction")
-        return target
-
 
 class BWOffloadingPolicy(OffloadingPolicy):
     """Bandwidth-utilization-based offloading (TOM-style models)."""
@@ -288,24 +146,6 @@ class BWOffloadingPolicy(OffloadingPolicy):
         utilization = {r: context.platform.bandwidth_utilization(
             r, context.elapsed) for r in viable}
         return min(viable, key=lambda r: (utilization[r], r.value))
-
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        static = packed.static
-        bandwidth_utilization = context.platform.bandwidth_utilization
-        elapsed = context.elapsed
-        target: Optional[ResourceLike] = None
-        best_key = None
-        for resource, _, supported, _, _ in static:
-            if not supported:
-                continue
-            key = (bandwidth_utilization(resource, elapsed), resource.value)
-            if best_key is None or key < best_key:
-                target = resource
-                best_key = key
-        if target is None:
-            return self._packed_fallback(static)
-        return target
 
 
 class DMOffloadingPolicy(OffloadingPolicy):
@@ -328,30 +168,6 @@ class DMOffloadingPolicy(OffloadingPolicy):
             features.feature(r).contended_data_movement_latency_ns,
             features.feature(r).expected_compute_latency_ns, r.value))
 
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        static = packed.static
-        movement_ns = packed.movement_ns
-        contention_ns = packed.contention_delays_ns
-        target: Optional[ResourceLike] = None
-        best_key = None
-        for index, (resource, _, supported, compute_ns,
-                    _) in enumerate(static):
-            if not supported:
-                continue
-            raw = movement_ns[index]
-            contention = contention_ns[index]
-            # ResourceFeatures.contended_data_movement_latency_ns, term
-            # for term.
-            contended = raw if contention == 0.0 else raw + contention
-            key = (contended, compute_ns, resource.value)
-            if best_key is None or key < best_key:
-                target = resource
-                best_key = key
-        if target is None:
-            return self._packed_fallback(static)
-        return target
-
 
 class ISPOnlyPolicy(OffloadingPolicy):
     """All computation on the SSD controller cores.
@@ -371,15 +187,6 @@ class ISPOnlyPolicy(OffloadingPolicy):
             return self._fallback(features)
         return self._least_queued(features, cores)
 
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        static = packed.static
-        cores = [index for index, entry in enumerate(static)
-                 if entry[0].kind is Resource.ISP]
-        if not cores:
-            return self._packed_fallback(static)
-        return self._packed_least_queued(packed, cores)
-
 
 class PuDOnlyPolicy(OffloadingPolicy):
     """PuD-SSD (MIMDRAM in the SSD DRAM); unsupported ops fall back to ISP."""
@@ -394,15 +201,6 @@ class PuDOnlyPolicy(OffloadingPolicy):
         if tiers:
             return self._least_queued(features, tiers)
         return self._fallback(features)
-
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        static = packed.static
-        tiers = [index for index, entry in enumerate(static)
-                 if entry[0].kind is Resource.PUD and entry[2]]
-        if tiers:
-            return self._packed_least_queued(packed, tiers)
-        return self._packed_fallback(static)
 
 
 class FlashCosmosPolicy(OffloadingPolicy):
@@ -420,16 +218,6 @@ class FlashCosmosPolicy(OffloadingPolicy):
                 return self._least_queued(features, units)
         return self._fallback(features)
 
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        static = packed.static
-        if packed.instruction.op.is_bitwise:
-            units = [index for index, entry in enumerate(static)
-                     if entry[0].kind is Resource.IFP and entry[2]]
-            if units:
-                return self._packed_least_queued(packed, units)
-        return self._packed_fallback(static)
-
 
 class AresFlashPolicy(OffloadingPolicy):
     """Ares-Flash: in-flash bitwise + arithmetic; fallback to ISP."""
@@ -444,15 +232,6 @@ class AresFlashPolicy(OffloadingPolicy):
         if units:
             return self._least_queued(features, units)
         return self._fallback(features)
-
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        static = packed.static
-        units = [index for index, entry in enumerate(static)
-                 if entry[0].kind is Resource.IFP and entry[2]]
-        if units:
-            return self._packed_least_queued(packed, units)
-        return self._packed_fallback(static)
 
 
 class NaiveIFPISPPolicy(OffloadingPolicy):
@@ -480,19 +259,6 @@ class NaiveIFPISPPolicy(OffloadingPolicy):
         self._toggle = not self._toggle
         return (self._least_queued(features, units) if self._toggle
                 else self._least_queued(features, cores))
-
-    def choose_packed(self, packed: PackedMember,
-                      context: PolicyContext) -> ResourceLike:
-        static = packed.static
-        units = [index for index, entry in enumerate(static)
-                 if entry[0].kind is Resource.IFP and entry[2]]
-        cores = [index for index, entry in enumerate(static)
-                 if entry[0].kind is Resource.ISP]
-        if not units or not cores:
-            return self._packed_fallback(static)
-        self._toggle = not self._toggle
-        return self._packed_least_queued(packed,
-                                         units if self._toggle else cores)
 
 
 #: Registry of instantiable policies keyed by their experiment-table names.

@@ -25,13 +25,12 @@ from typing import Dict, List, Optional
 from repro.common import DataLocation, Resource, SimulationError
 from repro.core.compiler.binary import BinaryEncoder, transfer_binary
 from repro.core.compiler.ir import VectorProgram
-from repro.core.compiler.waves import wave_plan
 from repro.core.layout import ArrayLayout
 from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
                                 InstructionRecord)
 from repro.core.offload.offloader import OffloaderConfig, SSDOffloader
 from repro.core.offload.policies import OffloadingPolicy
-from repro.core.platform import PlatformConfig, SSDPlatform
+from repro.core.platform import SSDPlatform
 from repro.ssd.events import Server
 
 
@@ -93,12 +92,8 @@ class ConduitRuntime:
         offloader = SSDOffloader(platform, layout, policy,
                                  self.config.offloader)
         records: List[InstructionRecord] = []
-        if platform.config.batched_offload:
-            makespan = self._drive_waves(program, layout, offloader, records,
+        makespan = self._drive_reference(program, offloader, records,
                                          start_ns)
-        else:
-            makespan = self._drive_reference(program, offloader, records,
-                                             start_ns)
 
         platform.ssd.enter_regular_io_mode()
         energy_config = platform.config.ssd.energy
@@ -122,13 +117,13 @@ class ConduitRuntime:
             offload_overhead_max_ns=offloader.max_overhead_ns,
             maintenance=platform.maintenance_stats())
 
-    # -- Dispatch loops ------------------------------------------------------------
+    # -- Dispatch loop -------------------------------------------------------------
 
     def _drive_reference(self, program: VectorProgram,
                          offloader: SSDOffloader,
                          records: List[InstructionRecord],
                          start_ns: float) -> float:
-        """The golden per-instruction dispatch loop."""
+        """The in-order, windowed per-instruction dispatch loop."""
         platform = self.platform
         completion: Dict[int, float] = {}
         outstanding: List[float] = []  # completion times, kept as a heap
@@ -169,64 +164,6 @@ class ConduitRuntime:
                 decision.dispatch_ns, decision.ready_ns, decision.start_ns,
                 end_ns, decision.compute_ns, decision.data_movement_ns,
                 decision.overhead_ns))
-        return makespan
-
-    def _drive_waves(self, program: VectorProgram, layout: ArrayLayout,
-                     offloader: SSDOffloader,
-                     records: List[InstructionRecord],
-                     start_ns: float) -> float:
-        """Wave-batched dispatch (``PlatformConfig.batched_offload``).
-
-        Same in-order, windowed issue semantics as
-        :meth:`_drive_reference`; the only difference is that feature
-        collection is front-loaded per dependence-free, page-disjoint wave
-        (:func:`wave_plan`) and each member decides from the precollected
-        batch, which :meth:`SSDOffloader.offload_member` keeps
-        bit-identical to the reference (hazard-counter fallback included).
-        """
-        platform = self.platform
-        plan = wave_plan(program, layout)
-        completion: Dict[int, float] = {}
-        outstanding: List[float] = []
-        max_outstanding = self.config.offloader.max_outstanding
-        makespan = start_ns
-        completion_get = completion.get
-        dispatch_core = platform.dispatch_core
-        begin_wave = offloader.begin_wave
-        offload_member = offloader.offload_member
-        heappush, heappop = heapq.heappush, heapq.heappop
-        append_record = records.append
-        wave_sources = plan.wave_sources
-        wave_dests = plan.wave_dests
-        for wave_index, members in enumerate(plan.wave_instructions):
-            batch = begin_wave(members, wave_sources[wave_index],
-                               wave_dests[wave_index])
-            for pos, instruction in enumerate(members):
-                deps_ready = start_ns
-                for d in instruction.depends_on:
-                    t = completion_get(d)
-                    if t is not None and t > deps_ready:
-                        deps_ready = t
-                free_at = dispatch_core._free_at
-                arrival = start_ns if start_ns >= free_at else free_at
-                while len(outstanding) >= max_outstanding:
-                    oldest = heappop(outstanding)
-                    if oldest > arrival:
-                        arrival = oldest
-                decision = offload_member(
-                    batch, pos, instruction, arrival_ns=arrival,
-                    deps_ready_ns=deps_ready,
-                    elapsed_ns=makespan if makespan > 1.0 else 1.0)
-                end_ns = decision.end_ns
-                heappush(outstanding, end_ns)
-                completion[instruction.uid] = end_ns
-                if end_ns > makespan:
-                    makespan = end_ns
-                append_record(InstructionRecord(
-                    instruction.uid, instruction.op, decision.resource,
-                    decision.dispatch_ns, decision.ready_ns,
-                    decision.start_ns, end_ns, decision.compute_ns,
-                    decision.data_movement_ns, decision.overhead_ns))
         return makespan
 
 

@@ -1,285 +1,91 @@
-"""Differential suite for the wave-batched offload decision engine.
+"""Differential suite for the offload decision path under live feedback.
 
-``PlatformConfig.batched_offload`` front-loads feature collection per
-dependence-free, page-disjoint wave (``repro.core.compiler.waves``) and
-decides each member from the precollected batch; the per-instruction
-path stays the bit-exact golden reference (mirroring the
-``vectorized_movement`` contract).  Bit-equality -- not float tolerance
--- is the contract: the two engines must produce *identical*
-:class:`ExecutionResult` trees, which is also what lets them share
-sweep-cache entries (the engine flag is popped from
-:func:`run_spec_key`).
+Offload decisions take a single per-instruction path
+(``SSDOffloader.offload``).  With ``contention_feedback=True`` each
+decision reads the live contention of the movement it follows, so the
+decisions -- not just their timings -- must come out identical whether
+that movement ran on the run-batched engine or on its per-page oracle.
+Bit-equality -- not float tolerance -- is the contract.
 
-Four layers:
+Three layers:
 
-* property-based sweep points (Hypothesis): random (workload, policy,
-  scale, platform-variant, contention-feedback) combinations run on
-  both engines -- feedback *on* matters because it exercises the live
-  decision-time contention reads the batch deliberately does not cache;
+* property-based sweep points (Hypothesis): random (workload, decision
+  policy, scale, platform-variant) combinations with feedback on;
 * property-based synthetic programs (Hypothesis): random instruction
-  streams (ops, operand overlap, dependency chains) on a tiny platform
-  whose window pressure forces evictions, i.e. the hazard-counter
-  fallback path;
-* the vectorized cost-model argmin: ``CostFunction.select_batch`` must
-  equal N sequential ``select`` calls on arbitrary feature matrices
-  (ties, unsupported candidates and ablation configs included);
-* the cache-key identity the engine split relies on, plus the wave
-  slicer's structural invariants.
+  streams on a small platform whose window pressure forces evictions;
+* the sweep-cache key: pinned for the feedback platform, and still
+  separating feedback from the static cost model.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import KIB, MIB, OpType, Resource, SimulationError
-from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
-                                    VectorProgram)
-from repro.core.compiler.waves import wave_plan
-from repro.core.layout import ArrayLayout
-from repro.core.offload.cost_model import CostFunction, CostModelConfig
-from repro.core.offload.features import (InstructionFeatures,
-                                         ResourceFeatures)
 from repro.core.offload.policies import make_policy
-from repro.core.platform import PlatformConfig, SSDPlatform
+from repro.core.platform import SSDPlatform
 from repro.core.runtime import ConduitRuntime
 from repro.experiments import ExperimentConfig, ExperimentRunner, \
     platform_variant
 from repro.experiments.runner import RunSpec, run_spec_key
-from repro.ssd.config import small_ssd_config
 from repro.workloads import workload_by_name
 
-PROGRAM_OPS = sorted((OpType.ADD, OpType.MUL, OpType.XOR, OpType.AND),
-                     key=lambda op: op.value)
-
-
-def _assert_bit_equal(batched, reference):
-    """Every field of the two execution results must match exactly."""
-    assert batched.total_time_ns == reference.total_time_ns
-    assert batched.total_energy_nj == reference.total_energy_nj
-    assert batched.energy == reference.energy
-    assert batched.breakdown == reference.breakdown
-    assert batched.records == reference.records
-    assert batched.offload_overhead_avg_ns == \
-        reference.offload_overhead_avg_ns
-    assert batched.offload_overhead_max_ns == \
-        reference.offload_overhead_max_ns
+from tests.random_programs import (INSTRUCTION, assert_bit_equal,
+                                   build_program, small_config)
 
 
 class TestRandomSweepPoints:
-    """Random rosters / scales / policies: batched == reference engine."""
+    """Random rosters / scales / decision policies with feedback on."""
 
     @given(workload=st.sampled_from(["AES", "XOR Filter", "jacobi-1d"]),
-           policy=st.sampled_from(["Conduit", "DM-Offloading", "PuD-SSD",
-                                   "Ideal"]),
+           policy=st.sampled_from(["Conduit", "DM-Offloading", "Ideal"]),
            scale=st.sampled_from([0.02, 0.05]),
-           variant=st.sampled_from(["default", "multicore-isp", "cxl-pud"]),
-           feedback=st.booleans())
+           variant=st.sampled_from(["default", "multicore-isp", "cxl-pud"]))
     @settings(max_examples=10, deadline=None)
-    def test_engines_bit_equal(self, workload, policy, scale, variant,
-                               feedback):
+    def test_engines_bit_equal(self, workload, policy, scale, variant):
         results = []
         for batched in (True, False):
             platform = dataclasses.replace(
-                platform_variant(variant), batched_offload=batched,
-                contention_feedback=feedback)
+                platform_variant(variant), batched_movement=batched,
+                contention_feedback=True)
             runner = ExperimentRunner(
                 ExperimentConfig(workload_scale=scale, platform=platform))
             results.append(
                 runner.run(workload_by_name(workload, scale=scale), policy))
-        _assert_bit_equal(*results)
-
-
-def _small_config(**overrides) -> PlatformConfig:
-    return PlatformConfig(ssd=small_ssd_config(),
-                          dram_compute_window_bytes=1 * MIB,
-                          sram_window_bytes=256 * KIB,
-                          host_cache_bytes=1 * MIB, **overrides)
-
-
-#: One synthetic instruction: (op index, dest slot, source slots, chain).
-#: Slots address 4096-element regions of two declared 64 Ki-element
-#: arrays; overlapping slots keep waves short and window pressure on the
-#: small platform above triggers the eviction-epoch fallback.
-INSTRUCTION = st.tuples(
-    st.integers(min_value=0, max_value=len(PROGRAM_OPS) - 1),
-    st.integers(min_value=0, max_value=2 * 12 - 1),
-    st.lists(st.integers(min_value=0, max_value=2 * 12 - 1),
-             min_size=1, max_size=2),
-    st.booleans())
-
-
-def _build_program(stream) -> VectorProgram:
-    arrays = [ArraySpec("a", 64 * 1024, 32), ArraySpec("b", 64 * 1024, 32)]
-    program = VectorProgram("generated", arrays)
-
-    def ref(slot: int) -> ArrayRef:
-        return ArrayRef("ab"[slot // 12], (slot % 12) * 4096, 4096)
-
-    for uid, (op_index, dest, sources, chain) in enumerate(stream):
-        program.add(VectorInstruction(
-            uid=uid, op=PROGRAM_OPS[op_index], dest=ref(dest),
-            sources=tuple(ref(s) for s in sources),
-            depends_on=(uid - 1,) if chain and uid else ()))
-    return program
+        assert_bit_equal(*results)
 
 
 class TestRandomPrograms:
-    """Random instruction streams: batched == reference engine."""
+    """Random instruction streams with feedback on."""
 
     @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=24),
-           policy=st.sampled_from(["Conduit", "DM-Offloading"]),
-           feedback=st.booleans())
+           policy=st.sampled_from(["Conduit", "DM-Offloading"]))
     @settings(max_examples=15, deadline=None)
-    def test_engines_bit_equal(self, stream, policy, feedback):
+    def test_engines_bit_equal(self, stream, policy):
+        program = build_program(stream)
         results = []
         for batched in (True, False):
-            runtime = ConduitRuntime(
-                SSDPlatform(_small_config(batched_offload=batched,
-                                          contention_feedback=feedback)))
-            results.append(runtime.execute(_build_program(stream),
-                                           make_policy(policy)))
-        _assert_bit_equal(*results)
-
-
-class TestWavePlanInvariants:
-    """Structural soundness of the dependency slicer."""
-
-    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=32))
-    @settings(max_examples=20, deadline=None)
-    def test_waves_partition_in_program_order(self, stream):
-        program = _build_program(stream)
-        layout = ArrayLayout(_small_config().ssd.nand.page_size_bytes)
-        layout.place_all(sorted(program.arrays.values(),
-                                key=lambda spec: spec.name))
-        plan = wave_plan(program, layout)
-        flat = [index for wave in plan.waves for index in wave]
-        assert flat == list(range(len(program.instructions)))
-
-    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=32))
-    @settings(max_examples=20, deadline=None)
-    def test_wave_members_dependence_free_and_page_disjoint(self, stream):
-        program = _build_program(stream)
-        layout = ArrayLayout(_small_config().ssd.nand.page_size_bytes)
-        layout.place_all(sorted(program.arrays.values(),
-                                key=lambda spec: spec.name))
-        plan = wave_plan(program, layout)
-        instructions = program.instructions
-        for wave in plan.waves:
-            uids = {instructions[i].uid for i in wave}
-            seen_intervals = []
-            for i in wave:
-                for dep in instructions[i].depends_on:
-                    assert dep == instructions[i].uid or dep not in uids
-                touched = list(plan.source_runs[i])
-                if plan.dest_runs[i] is not None:
-                    touched.append(plan.dest_runs[i])
-                own = []
-                for base, count in touched:
-                    for other_base, other_end in seen_intervals:
-                        assert not (base < other_end
-                                    and other_base < base + count)
-                    own.append((base, base + count))
-                seen_intervals.extend(own)
-
-
-RESOURCES = [Resource.ISP, Resource.PUD, Resource.IFP]
-
-FEATURE_VALUES = st.sampled_from(
-    [0.0, 1.0, 100.0, 1e6, 3.14159e3, 2.5e9])
-
-RESOURCE_FEATURE = st.tuples(st.booleans(), FEATURE_VALUES, FEATURE_VALUES,
-                             FEATURE_VALUES, FEATURE_VALUES, FEATURE_VALUES)
-
-COST_CONFIG = st.builds(
-    CostModelConfig,
-    combine_delays_with_max=st.booleans(),
-    include_data_movement=st.booleans(),
-    include_queueing_delay=st.booleans(),
-    include_dependence_delay=st.booleans(),
-    include_compute_latency=st.booleans())
-
-
-def _features(uid, rows) -> InstructionFeatures:
-    per_resource = {
-        resource: ResourceFeatures(resource, supported, compute, movement,
-                                   queueing, dependence, contention)
-        for resource, (supported, compute, movement, queueing, dependence,
-                       contention) in zip(RESOURCES, rows)}
-    return InstructionFeatures(uid, OpType.ADD, {}, per_resource, 0.0)
-
-
-class TestSelectBatchEquivalence:
-    """``select_batch`` == N sequential ``select`` calls, provably."""
-
-    @given(matrix=st.lists(st.tuples(RESOURCE_FEATURE, RESOURCE_FEATURE,
-                                     RESOURCE_FEATURE),
-                           min_size=1, max_size=8),
-           config=COST_CONFIG)
-    @settings(max_examples=50, deadline=None)
-    def test_matches_sequential_select(self, matrix, config):
-        features_list = [_features(uid, rows)
-                         for uid, rows in enumerate(matrix)]
-        if not any(any(rows[i][0] for i in range(3)) for rows in matrix):
-            matrix = None  # every column unsupported: both must raise
-        sequential = CostFunction(config)
-        batched = CostFunction(config)
-        if matrix is None:
-            with pytest.raises(SimulationError):
-                for features in features_list:
-                    sequential.select(features)
-            with pytest.raises(SimulationError):
-                batched.select_batch(features_list)
-            return
-        try:
-            expected = [sequential.select(features)
-                        for features in features_list]
-        except SimulationError:
-            with pytest.raises(SimulationError):
-                batched.select_batch(features_list)
-            return
-        selected, totals = batched.select_batch(features_list)
-        assert selected == [target for target, _ in expected]
-        assert batched.evaluations == sequential.evaluations
-        for column, (_, estimates) in enumerate(expected):
-            for row, resource in enumerate(RESOURCES):
-                assert totals[row, column] == \
-                    estimates[resource].total_latency_ns
-
-    def test_exact_tie_breaks_by_registration_order(self):
-        rows = [(True, 10.0, 5.0, 0.0, 0.0, 0.0)] * 3
-        features = _features(0, rows)
-        cost = CostFunction()
-        selected, _ = cost.select_batch([features])
-        target, _ = cost.select(features)
-        assert selected[0] is RESOURCES[0]
-        assert target is RESOURCES[0]
-
-    def test_empty_batch(self):
-        selected, totals = CostFunction().select_batch([])
-        assert selected == []
-        assert totals.size == 0
+            runtime = ConduitRuntime(SSDPlatform(small_config(
+                batched_movement=batched, contention_feedback=True)))
+            results.append(runtime.execute(program, make_policy(policy)))
+        assert_bit_equal(*results)
 
 
 class TestCacheKeyIdentity:
-    """Both engines must share sweep-cache entries (bit-equal results)."""
+    """Feedback stays in the key; the feedback platform's key is pinned."""
 
     def test_engine_flag_excluded_from_run_spec_key(self):
+        """The decision path has no engine flag of its own, so the key of
+        the feedback platform stays what existing sweep caches were
+        written under."""
         base = ExperimentConfig(workload_scale=0.05).platform
-        on = dataclasses.replace(base, batched_offload=True)
-        off = dataclasses.replace(base, batched_offload=False)
-        assert (run_spec_key(RunSpec("AES", 0.05, "Conduit", on))
-                == run_spec_key(RunSpec("AES", 0.05, "Conduit", off)))
+        feedback = dataclasses.replace(base, contention_feedback=True)
+        assert run_spec_key(RunSpec("AES", 0.05, "Conduit", feedback)) == (
+            "214b580dd50bcf2ed1ed55ace969f6d4a8a69dfd7471b1fd992332815bbeef53")
 
     def test_other_platform_knobs_still_keyed(self):
         base = ExperimentConfig(workload_scale=0.05).platform
         feedback = dataclasses.replace(base, contention_feedback=True)
         assert (run_spec_key(RunSpec("AES", 0.05, "Conduit", base))
                 != run_spec_key(RunSpec("AES", 0.05, "Conduit", feedback)))
-
-    def test_reference_decisions_variant_registered(self):
-        config = platform_variant("reference-decisions")
-        assert config.batched_offload is False
-        assert platform_variant("default").batched_offload is True

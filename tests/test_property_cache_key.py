@@ -13,9 +13,8 @@ can have:
   deliberately non-semantic it must be added to ``KEY_EXEMPT_PLATFORM``
   here, which is exactly the conscious decision the test exists to force.
 * **No spurious misses** -- random pairs of specs must map to equal keys
-  *iff* they are semantically identical (equal after erasing the two
-  known non-semantic fields: the ``platform_name`` display label and the
-  bit-exact ``vectorized_movement`` engine selector).
+  *iff* they are semantically identical (equal after erasing the one
+  known non-semantic field, the ``platform_name`` display label).
 """
 
 from __future__ import annotations
@@ -35,15 +34,8 @@ from repro.ssd.lifetime import MID_LIFE_PROFILE
 
 #: Platform-tree fields deliberately excluded from the cache key, with
 #: the invariant that justifies each exclusion.
-KEY_EXEMPT_PLATFORM = {
-    # The vectorized engine is bit-exact against the object engine (see
-    # tests/test_vectorized_movement.py), so both may share entries.
-    ("vectorized_movement",),
-    # The wave-batched decision engine is bit-exact against the
-    # per-instruction reference (see tests/test_batched_offload.py), so
-    # both may share entries.
-    ("batched_offload",),
-}
+#: Empty today: every platform knob is semantic.
+KEY_EXEMPT_PLATFORM: frozenset = frozenset()
 
 
 def _perturbation_candidates(value: object,
@@ -129,7 +121,7 @@ BASE_SPEC = RunSpec(workload="AES", scale=0.05, policy="Conduit")
 
 
 class TestEveryKnobPerturbsTheKey:
-    """Reflective sweep over all PlatformConfig leaves (101 today)."""
+    """Reflective sweep over all PlatformConfig leaves."""
 
     @pytest.mark.parametrize(
         "path", _leaf_paths(PlatformConfig()),
@@ -216,9 +208,9 @@ SPECS = st.builds(
     platform=st.builds(
         PlatformConfig,
         contention_feedback=st.booleans(),
+        batched_movement=st.booleans(),
         contention_gain=st.sampled_from([1.0, 2.0]),
         isp_cores=st.integers(min_value=1, max_value=2),
-        vectorized_movement=st.booleans(),
         cxl_pud=st.sampled_from([None, CXLPuDConfig()]),
     ),
     platform_name=st.sampled_from(["default", "an-alias"]),
@@ -228,11 +220,8 @@ SPECS = st.builds(
 
 
 def _semantic(spec: RunSpec) -> RunSpec:
-    """The spec with its two non-semantic fields erased."""
-    return dataclasses.replace(
-        spec, platform_name="",
-        platform=dataclasses.replace(spec.platform,
-                                     vectorized_movement=True))
+    """The spec with its non-semantic display label erased."""
+    return dataclasses.replace(spec, platform_name="")
 
 
 class TestRandomSpecPairs:

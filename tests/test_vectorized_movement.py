@@ -1,21 +1,22 @@
-"""Differential suite for the vectorized movement engine.
+"""Randomized differential suite for the data-movement engine.
 
-``PlatformConfig.vectorized_movement`` selects a numpy flat-array fast
-path inside the run-batched data-movement engine; the object engine stays
-the bit-exact golden reference (mirroring the ``batched_movement``
-pattern).  Bit-equality -- not float tolerance -- is the contract: the two
-engines must produce *identical* :class:`ExecutionResult` trees, which is
-also what lets them share sweep-cache entries (the engine flag is popped
-from :func:`run_spec_key`).
+``PlatformConfig.batched_movement`` selects the run-batched movement
+engine (the default); the per-page path stays its bit-exact oracle.
+Bit-equality -- not float tolerance -- is the contract: the two engines
+must produce *identical* :class:`ExecutionResult` trees.  The golden
+scenarios in ``test_batched_movement`` pin both engines to recorded
+numbers; this suite covers inputs no registered workload emits.
 
 Three layers:
 
 * property-based sweep points (Hypothesis): random (workload, policy,
   scale, platform-variant roster) combinations run on both engines;
 * property-based synthetic programs (Hypothesis): random instruction
-  streams (ops, operand offsets, dependency chains) whose arrival
-  patterns are not constrained to anything a registered workload emits;
-* the cache-key identity the engine split relies on.
+  streams (ops, operand overlap, dependency chains) on a small platform,
+  an eviction-heavy platform whose windows hold a few pages, and an aged
+  drive with the background GC engine live;
+* the sweep-cache key: pinned for the default platform, and still
+  separating the two movement engines.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common import KIB, MIB, OpType
-from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
-                                    VectorProgram)
+from repro.common import KIB
 from repro.core.offload.policies import make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.core.runtime import ConduitRuntime
@@ -36,120 +35,94 @@ from repro.experiments.runner import RunSpec, run_spec_key
 from repro.ssd.config import small_ssd_config
 from repro.workloads import workload_by_name
 
-#: Enum members are sorted before ``sampled_from`` so the Hypothesis
-#: database keys are stable across interpreter runs (set iteration order
-#: would shuffle them).
-PROGRAM_OPS = sorted((OpType.ADD, OpType.MUL, OpType.XOR, OpType.AND),
-                     key=lambda op: op.value)
-
-
-def _assert_bit_equal(vec, obj):
-    """Every field of the two execution results must match exactly."""
-    assert vec.total_time_ns == obj.total_time_ns
-    assert vec.total_energy_nj == obj.total_energy_nj
-    assert vec.energy == obj.energy
-    assert vec.breakdown == obj.breakdown
-    assert vec.records == obj.records
-    assert vec.offload_overhead_avg_ns == obj.offload_overhead_avg_ns
-    assert vec.offload_overhead_max_ns == obj.offload_overhead_max_ns
+from tests.random_programs import (INSTRUCTION, assert_bit_equal,
+                                   build_program, small_config)
 
 
 class TestRandomSweepPoints:
-    """Random rosters / scales / policies: vectorized == object engine."""
+    """Random rosters / scales / policies: run-batched == per-page."""
 
     @given(workload=st.sampled_from(["AES", "XOR Filter", "jacobi-1d"]),
            policy=st.sampled_from(["Conduit", "DM-Offloading", "PuD-SSD",
-                                   "CPU"]),
+                                   "Ideal", "CPU"]),
            scale=st.sampled_from([0.02, 0.05]),
-           variant=st.sampled_from(["default", "multicore-isp", "cxl-pud"]),
-           feedback=st.booleans())
+           variant=st.sampled_from(["default", "multicore-isp", "cxl-pud"]))
     @settings(max_examples=10, deadline=None)
-    def test_engines_bit_equal(self, workload, policy, scale, variant,
-                               feedback):
+    def test_engines_bit_equal(self, workload, policy, scale, variant):
         results = []
-        for vectorized in (True, False):
-            platform = dataclasses.replace(
-                platform_variant(variant), vectorized_movement=vectorized,
-                contention_feedback=feedback)
+        for batched in (True, False):
+            platform = dataclasses.replace(platform_variant(variant),
+                                           batched_movement=batched)
             runner = ExperimentRunner(
                 ExperimentConfig(workload_scale=scale, platform=platform))
             results.append(
                 runner.run(workload_by_name(workload, scale=scale), policy))
-        _assert_bit_equal(*results)
+        assert_bit_equal(*results)
 
 
-def _small_config(**overrides) -> PlatformConfig:
+def _eviction_heavy_config(**overrides) -> PlatformConfig:
+    """Windows of a few pages: almost every moving segment would evict, so
+    ``_transfer_segment`` takes its per-page fallback."""
     return PlatformConfig(ssd=small_ssd_config(),
-                          dram_compute_window_bytes=1 * MIB,
-                          sram_window_bytes=256 * KIB,
-                          host_cache_bytes=1 * MIB, **overrides)
+                          dram_compute_window_bytes=16 * KIB,
+                          sram_window_bytes=8 * KIB,
+                          host_cache_bytes=16 * KIB, **overrides)
 
 
-#: One synthetic instruction: (op index, dest slot, source slots, chain).
-#: Slots address 4096-element regions of two declared 64 Ki-element
-#: arrays, so random streams trigger real window pressure and coherence
-#: ping-pong on the small platform above.
-INSTRUCTION = st.tuples(
-    st.integers(min_value=0, max_value=len(PROGRAM_OPS) - 1),
-    st.integers(min_value=0, max_value=2 * 12 - 1),
-    st.lists(st.integers(min_value=0, max_value=2 * 12 - 1),
-             min_size=1, max_size=2),
-    st.booleans())
+def _aged_config(**overrides) -> PlatformConfig:
+    """The near-EOL drive with the background GC/wear engine live."""
+    return dataclasses.replace(platform_variant("default-aged"), **overrides)
 
 
-def _build_program(stream) -> VectorProgram:
-    arrays = [ArraySpec("a", 64 * 1024, 32), ArraySpec("b", 64 * 1024, 32)]
-    program = VectorProgram("generated", arrays)
-
-    def ref(slot: int) -> ArrayRef:
-        return ArrayRef("ab"[slot // 12], (slot % 12) * 4096, 4096)
-
-    for uid, (op_index, dest, sources, chain) in enumerate(stream):
-        program.add(VectorInstruction(
-            uid=uid, op=PROGRAM_OPS[op_index], dest=ref(dest),
-            sources=tuple(ref(s) for s in sources),
-            depends_on=(uid - 1,) if chain and uid else ()))
-    return program
+PLATFORMS = {"small": small_config,
+             "eviction-heavy": _eviction_heavy_config,
+             "aged": _aged_config}
 
 
 class TestRandomPrograms:
-    """Random instruction streams: vectorized == object engine."""
+    """Random instruction streams: run-batched == per-page movement."""
 
-    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=24),
-           policy=st.sampled_from(["Conduit", "DM-Offloading"]))
-    @settings(max_examples=15, deadline=None)
+    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=16),
+           policy=st.sampled_from(["ISP", "PuD-SSD", "Flash-Cosmos"]))
+    @settings(max_examples=12, deadline=None)
     def test_engines_bit_equal(self, stream, policy):
+        """Fixed-target policies drive every operand to one resource, so
+        each movement destination is exercised regardless of what the
+        cost model would pick."""
+        program = build_program(stream)
         results = []
-        for vectorized in (True, False):
-            runtime = ConduitRuntime(
-                SSDPlatform(_small_config(vectorized_movement=vectorized)))
-            results.append(runtime.execute(_build_program(stream),
-                                           make_policy(policy)))
-        _assert_bit_equal(*results)
+        for batched in (True, False):
+            runtime = ConduitRuntime(SSDPlatform(
+                small_config(batched_movement=batched)))
+            results.append(runtime.execute(program, make_policy(policy)))
+        assert_bit_equal(*results)
 
-    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=16))
-    @settings(max_examples=8, deadline=None)
-    def test_batched_object_engine_matches_per_page_reference(self, stream):
-        """The object engine itself stays pinned to the per-page path."""
-        batched = ConduitRuntime(SSDPlatform(_small_config(
-            vectorized_movement=False, batched_movement=True)))
-        per_page = ConduitRuntime(SSDPlatform(_small_config(
-            vectorized_movement=False, batched_movement=False)))
-        program = _build_program(stream)
-        a = batched.execute(program, make_policy("Conduit"))
-        b = per_page.execute(program, make_policy("Conduit"))
-        _assert_bit_equal(a, b)
+    @given(stream=st.lists(INSTRUCTION, min_size=1, max_size=16),
+           platform=st.sampled_from(sorted(PLATFORMS)),
+           policy=st.sampled_from(["Conduit", "DM-Offloading"]))
+    @settings(max_examples=12, deadline=None)
+    def test_batched_object_engine_matches_per_page_reference(
+            self, stream, platform, policy):
+        program = build_program(stream)
+        results = []
+        for batched in (True, False):
+            runtime = ConduitRuntime(SSDPlatform(
+                PLATFORMS[platform](batched_movement=batched)))
+            results.append(runtime.execute(program, make_policy(policy)))
+        assert_bit_equal(*results)
 
 
 class TestCacheKeyIdentity:
-    """Both engines must share sweep-cache entries (bit-equal results)."""
+    """The movement-engine flag stays in the key; the key itself is pinned."""
 
     def test_engine_flag_excluded_from_run_spec_key(self):
-        base = ExperimentConfig(workload_scale=0.05).platform
-        on = dataclasses.replace(base, vectorized_movement=True)
-        off = dataclasses.replace(base, vectorized_movement=False)
-        assert (run_spec_key(RunSpec("AES", 0.05, "Conduit", on))
-                == run_spec_key(RunSpec("AES", 0.05, "Conduit", off)))
+        """Only ``batched_movement`` selects a movement engine, and it is
+        keyed; no other engine flag may enter the key, so the default
+        platform's key stays what existing sweep caches were written
+        under."""
+        assert run_spec_key(RunSpec("AES", 0.05, "Conduit",
+                                    PlatformConfig())) == (
+            "5f00fe126fd9395b8b9c3148bfd290718fc00a8b392eca33c048e51b8d03c275")
 
     def test_other_platform_knobs_still_keyed(self):
         base = ExperimentConfig(workload_scale=0.05).platform
