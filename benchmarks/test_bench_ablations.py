@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the paper's key design choices.
 
 * Cost-function features: drop the queueing-delay, data-movement or
   dependence-delay terms (and replace the max-of-delays combination with a

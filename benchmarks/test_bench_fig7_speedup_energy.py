@@ -2,12 +2,14 @@
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import format_table, nested_to_rows, run_fig7
+from repro.experiments import (fig7_results_from_grid, format_table,
+                               nested_to_rows, run_experiment)
 
 
 def _fig7(shared_cache, bench_config):
     if "fig7" not in shared_cache:
-        shared_cache["fig7"] = run_fig7(bench_config)
+        result = run_experiment("fig7", bench_config)
+        shared_cache["fig7"] = fig7_results_from_grid(result.platform_grid())
     return shared_cache["fig7"]
 
 
@@ -21,8 +23,9 @@ def test_bench_fig7a_speedup(benchmark, bench_config, shared_cache):
           f"Conduit/Ideal: {gmean['Conduit'] / gmean['Ideal']:.2f}"
           " (paper: 0.62)")
     # Shape checks: Conduit beats every prior offloading policy and every
-    # single-resource NDP baseline except PuD-SSD (which it ties within the
-    # scaled-down configuration; see EXPERIMENTS.md) and stays below Ideal.
+    # single-resource NDP baseline except PuD-SSD (which it can trail on
+    # this reduced-parameter model, hence the 0.7x bound) and stays below
+    # Ideal.
     for policy in ("ISP", "Flash-Cosmos", "Ares-Flash", "BW-Offloading",
                    "DM-Offloading"):
         assert gmean["Conduit"] >= gmean[policy], policy

@@ -120,7 +120,7 @@ PROFILE_PHASES = (
                 "core/offload/offloader")),
     ("transform", ("core/offload/transform",)),
     ("move", ("core/platform", "core/coherence", "core/contention",
-              "ssd/channels", "dram/")),
+              "dram/")),
     ("execute", ("ssd/queues", "ssd/events", "isp/", "ifp/", "host/",
                  "ssd/")),
 )

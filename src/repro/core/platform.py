@@ -105,12 +105,6 @@ class PlatformConfig:
     #: Gain weighting the smoothed relative overrun charged back to an
     #: estimate (``scale = 1 + gain * (relative_overrun - 1)``).
     contention_gain: float = 2.0
-    #: Per-observation decay pulling *unobserved* paths' smoothed overruns
-    #: back toward 1.0 (no contention), so a once-penalized path whose
-    #: traffic has since drained is re-explored instead of being avoided
-    #: forever on stale feedback.  ``0.0`` (the default) preserves the
-    #: original never-forgets behavior bit-exactly.
-    contention_decay: float = 0.0
 
     #: Move operands as contiguous LPA runs (one sized bus reservation per
     #: run segment).  ``False`` selects the per-page reference path, kept
@@ -323,8 +317,7 @@ class SSDPlatform:
         #: :mod:`repro.core.contention`).  Owned per platform, so every
         #: run starts from clean feedback state.
         self.contention = LinkContentionMonitor(
-            self.config.contention_ewma_alpha, self.config.contention_gain,
-            decay=self.config.contention_decay)
+            self.config.contention_ewma_alpha, self.config.contention_gain)
     # ------------------------------------------------------------------------
     # Backend registry (the platform's compute shape, grown from config)
     # ------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.workloads import workload_by_name
 
 Rows = List[Dict[str, object]]
 
-#: Cost-function feature ablations (DESIGN.md): drop one feature, or
+#: Cost-function feature ablations (Eqn. 1): drop one feature, or
 #: combine the overlap delays with a sum instead of the paper's max.
 COST_ABLATIONS: "OrderedDict[str, CostModelConfig]" = OrderedDict((
     ("full", CostModelConfig()),

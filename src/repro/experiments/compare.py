@@ -21,10 +21,9 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.metrics import ExecutionResult, geometric_mean
-from repro.experiments.registry import ExperimentDef, experiment_def
-from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.experiments.platforms import platform_variant
-from repro.workloads import workload_by_name
+from repro.experiments.registry import (ExperimentDef, _platform_slice,
+                                        _sweep, experiment_def)
+from repro.experiments.runner import ExperimentConfig
 
 #: Version of the ``repro compare --json`` document layout.  Bump whenever
 #: a top-level or per-row key is added, removed or changes meaning.
@@ -127,22 +126,12 @@ def run_compare(experiment: str, base_name: str, other_name: str,
     if base_name == other_name:
         raise ValueError(
             f"comparing variant {base_name!r} against itself is a no-op")
-    config = config or ExperimentConfig()
-    resolved = [(name, platform_variant(name, base=config.platform))
-                for name in (base_name, other_name)]
-    workloads = (config.workloads() if definition.workloads is None else
-                 [workload_by_name(name, scale=config.workload_scale)
-                  for name in definition.workloads])
-    runner = ExperimentRunner(config)
-    grid = runner.sweep(definition.policies, workloads, platforms=resolved,
-                        parallel=parallel, workers=workers,
-                        cache_dir=cache_dir)
-    base_slice = {(workload, policy): result
-                  for (workload, policy, name), result in grid.items()
-                  if name == base_name}
-    other_slice = {(workload, policy): result
-                   for (workload, policy, name), result in grid.items()
-                   if name == other_name}
+    names = (base_name, other_name)
+    _, _, grid, stats = _sweep(definition, config or ExperimentConfig(),
+                               names, parallel=parallel, workers=workers,
+                               cache_dir=cache_dir)
+    base_slice, other_slice = (_platform_slice(grid, name, names, "compare")
+                               for name in names)
     rows = compare_grids(base_slice, other_slice)
     return {
         "schema": COMPARE_SCHEMA_VERSION,
@@ -151,5 +140,5 @@ def run_compare(experiment: str, base_name: str, other_name: str,
         "other": other_name,
         "rows": rows,
         "summary": _summary(rows),
-        "sweep": runner.last_sweep_stats.summary(),
+        "sweep": stats.summary(),
     }

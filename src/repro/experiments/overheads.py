@@ -13,15 +13,12 @@ grown roster, so the storage overhead is reported per variant.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.offload.transform import InstructionTransformer
 from repro.core.platform import SSDPlatform
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
-                                        per_platform, register_experiment,
-                                        run_experiment)
-from repro.experiments.runner import (ExperimentConfig,
-                                      default_sweep_cache_dir)
+                                        per_platform, register_experiment)
 from repro.workloads import AESWorkload
 
 
@@ -56,21 +53,3 @@ OVERHEADS_DEF = register_experiment(ExperimentDef(
     paper_refs=("~1.5 KiB translation table",
                 "runtime overhead avg 3.77 us, max 33 us"),
 ), overwrite=True)
-
-
-def run_overheads(config: Optional[ExperimentConfig] = None, *,
-                  parallel: bool = True, workers: Optional[int] = None,
-                  cache_dir: Optional[str] = None) -> Dict[str, float]:
-    """Measure Conduit's storage and runtime overheads."""
-    config = config or ExperimentConfig()
-    result = run_experiment(OVERHEADS_DEF, config, parallel=parallel,
-                            workers=workers, cache_dir=cache_dir)
-    return _metrics_from_grid(result.platform_grid("default"),
-                              config.platform)
-
-
-def main(config: Optional[ExperimentConfig] = None) -> Dict[str, float]:
-    overheads = run_overheads(config, cache_dir=default_sweep_cache_dir())
-    for key, value in overheads.items():
-        print(f"{key}: {value:.2f}")
-    return overheads

@@ -17,7 +17,9 @@ benchmark entries and gem5's config-driven experiment definitions:
   the definition's builders, and return an :class:`ExperimentResult` with
   per-section rows, formatted tables, headline lines and sweep stats.
 
-``python -m repro`` is a thin shell over this module.
+:func:`run_experiment` is also the library API: the figure modules export
+definitions and table builders, not runners, and ``python -m repro`` is a
+thin shell over it.
 """
 
 from __future__ import annotations
@@ -258,6 +260,33 @@ def run_experiment(experiment: Union[str, ExperimentDef],
                               cache_dir=cache_dir)
     platform_names = (tuple(platforms) if platforms
                       else definition.default_platforms)
+    resolved, workloads, grid, stats = _sweep(
+        definition, config, platform_names, parallel=parallel,
+        workers=workers, cache_dir=cache_dir)
+    sweeps = [(definition.name, stats)] if definition.policies else []
+    ctx = ExperimentContext(
+        definition=definition, config=config, platform_names=platform_names,
+        platforms=resolved, workloads=workloads, grid=grid, stats=stats,
+        parallel=parallel, workers=workers, cache_dir=cache_dir)
+    sections = definition.build(ctx)
+    headline = definition.headline(ctx) if definition.headline else []
+    return ExperimentResult(name=definition.name, sections=sections,
+                            headline=headline, stats=sweeps, grid=dict(grid),
+                            platform_names=platform_names)
+
+
+def _sweep(definition: ExperimentDef, config: ExperimentConfig,
+           platform_names: Tuple[str, ...], *, parallel: bool,
+           workers: Optional[int], cache_dir: Optional[str]
+           ) -> Tuple["OrderedDict[str, PlatformConfig]", List[Workload],
+                      Grid, SweepStats]:
+    """Resolve a definition's axes and run its one cross-product sweep.
+
+    Returns the resolved platform variants, the workloads, the
+    (workload, policy, platform)-keyed grid and the sweep stats.  A
+    compile-only definition (no policies) sweeps nothing and gets an
+    empty grid.  Table builders are the caller's business.
+    """
     if len(set(platform_names)) != len(platform_names):
         # Catch this before the OrderedDict below silently dedups (the
         # names key both the grid and the per-variant section prefixes).
@@ -270,24 +299,13 @@ def run_experiment(experiment: Union[str, ExperimentDef],
     workloads = (config.workloads() if definition.workloads is None else
                  [workload_by_name(name, scale=config.workload_scale)
                   for name in definition.workloads])
+    if not definition.policies:
+        return resolved, workloads, {}, SweepStats(platforms=len(resolved))
     runner = ExperimentRunner(config)
-    if definition.policies:
-        grid: Grid = runner.sweep(
-            definition.policies, workloads, platforms=list(resolved.items()),
-            parallel=parallel, workers=workers, cache_dir=cache_dir)
-        stats = runner.last_sweep_stats
-        sweeps = [(definition.name, stats)]
-    else:
-        grid, stats, sweeps = {}, SweepStats(platforms=len(resolved)), []
-    ctx = ExperimentContext(
-        definition=definition, config=config, platform_names=platform_names,
-        platforms=resolved, workloads=workloads, grid=grid, stats=stats,
+    grid = runner.sweep(
+        definition.policies, workloads, platforms=list(resolved.items()),
         parallel=parallel, workers=workers, cache_dir=cache_dir)
-    sections = definition.build(ctx)
-    headline = definition.headline(ctx) if definition.headline else []
-    return ExperimentResult(name=definition.name, sections=sections,
-                            headline=headline, stats=sweeps, grid=dict(grid),
-                            platform_names=platform_names)
+    return resolved, workloads, grid, runner.last_sweep_stats
 
 
 def _run_composite(definition: ExperimentDef, config: ExperimentConfig, *,

@@ -324,7 +324,7 @@ class SweepCache:
             with open(self._path(run_spec_key(spec)), "rb") as handle:
                 result = pickle.load(handle)
         except (OSError, EOFError, pickle.UnpicklingError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError, ValueError, TypeError):
             self.misses += 1
             return None
         if not isinstance(result, ExecutionResult):

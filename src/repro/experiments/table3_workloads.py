@@ -21,8 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.registry import (ExperimentContext, ExperimentDef,
                                         register_experiment)
-from repro.experiments.report import format_table
-from repro.experiments.runner import ExperimentConfig, resolve_sweep_workers
+from repro.experiments.runner import resolve_sweep_workers
 from repro.workloads import Workload, characterization_table
 
 
@@ -55,19 +54,3 @@ TABLE3_DEF = register_experiment(ExperimentDef(
     policies=(),  # compile-only: no simulation sweep
     build=_sections,
 ), overwrite=True)
-
-
-def run_table3(config: Optional[ExperimentConfig] = None, *,
-               parallel: bool = True, workers: Optional[int] = None
-               ) -> List[Dict[str, object]]:
-    config = config or ExperimentConfig()
-    return _characterize(config.workloads(), parallel=parallel,
-                         workers=workers)
-
-
-def main(config: Optional[ExperimentConfig] = None) -> str:
-    rows = run_table3(config)
-    text = format_table(rows)
-    print("Table 3 -- workload characteristics (measured vs. paper)")
-    print(text)
-    return text

