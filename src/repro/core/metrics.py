@@ -9,7 +9,9 @@ distributions and tails (Fig. 8), per-resource offloading fractions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -42,6 +44,11 @@ class InstructionRecord:
     @property
     def queue_wait_ns(self) -> float:
         return max(0.0, self.start_ns - self.ready_ns)
+
+
+#: The float fields of :class:`InstructionRecord`, in declaration order.
+_TIME_FIELDS = ("dispatch_ns", "ready_ns", "start_ns", "end_ns",
+                "compute_ns", "data_movement_ns", "overhead_ns")
 
 
 @dataclass
@@ -84,6 +91,26 @@ class ExecutionResult:
     #: statistics and write amplification (``None`` only for results
     #: pickled before the lifetime subsystem existed).
     maintenance: Optional[MaintenanceStats] = None
+
+    def __reduce__(self):
+        """Pickle ``records`` as typed columns rather than one object each.
+
+        Sweep-cache entries and worker-to-parent results hold one record
+        per simulated instruction; pickling those slotted objects one by
+        one dominates a warm sweep.  Instead ``uid`` travels as one
+        ``array("q")``, each time field as one ``array("d")`` (exact IEEE
+        bytes, so results round-trip bit-identically), and ``op`` /
+        ``resource`` as plain lists whose repeated members pickle as memo
+        references.
+        """
+        state = dict(self.__dict__)
+        records = state.pop("records")
+        columns = [array("q", [record.uid for record in records]),
+                   [record.op for record in records],
+                   [record.resource for record in records]]
+        columns.extend(array("d", list(map(attrgetter(name), records)))
+                       for name in _TIME_FIELDS)
+        return _rebuild_execution_result, (state, *columns)
 
     # -- Derived metrics ----------------------------------------------------------
 
@@ -158,14 +185,33 @@ class ExecutionResult:
 
     def timeline(self, limit: Optional[int] = None
                  ) -> List[Dict[str, object]]:
-        """Instruction-to-resource mapping over time (Fig. 10)."""
-        records = self.records[:limit] if limit else self.records
+        """Instruction-to-resource mapping over time (Fig. 10).
+
+        ``limit`` keeps the first ``limit`` records (``0`` keeps none);
+        ``None`` keeps them all.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"timeline limit must be >= 0, got {limit}")
+        records = self.records if limit is None else self.records[:limit]
         return [
             {"index": index, "uid": record.uid, "op": record.op.value,
              "resource": record.resource.value, "start_ns": record.start_ns,
              "end_ns": record.end_ns}
             for index, record in enumerate(records)
         ]
+
+
+def _rebuild_execution_result(state: Dict[str, object], *columns
+                              ) -> ExecutionResult:
+    """Inverse of :meth:`ExecutionResult.__reduce__`.
+
+    Raises :class:`ValueError` (a sweep-cache miss) when the columns
+    differ in length, which ``map`` would otherwise silently truncate.
+    """
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("instruction-record columns differ in length")
+    return ExecutionResult(records=list(map(InstructionRecord, *columns)),
+                           **state)
 
 
 def speedup(baseline: ExecutionResult, candidate: ExecutionResult) -> float:

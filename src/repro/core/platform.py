@@ -75,7 +75,9 @@ class PlatformConfig:
 
     #: Portion of SSD DRAM usable as PuD compute operand space; the rest
     #: holds FTL metadata and the page cache (Section 2.2).  Dirty operands
-    #: are lazily flushed to flash when evicted from this window.
+    #: are lazily flushed to flash when evicted from this window.  Each
+    #: window budget must be positive; one below a flash page still holds
+    #: one page.
     dram_compute_window_bytes: int = 64 * MIB
     #: Controller SRAM / register space usable for ISP operands.
     sram_window_bytes: int = 8 * MIB
@@ -133,6 +135,18 @@ class PlatformConfig:
     #: channels.  The default (engine off, no profile) is bit-identical
     #: to the fresh-drive seed behavior.
     lifetime: LifetimeConfig = field(default_factory=LifetimeConfig)
+
+    def __post_init__(self) -> None:
+        for name in ("dram_compute_window_bytes", "sram_window_bytes",
+                     "host_cache_bytes"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise SimulationError(
+                    f"PlatformConfig.{name} must be positive, got {value!r}")
+        cores = self.isp_cores
+        if isinstance(cores, bool) or not isinstance(cores, int) or cores < 1:
+            raise SimulationError(
+                f"PlatformConfig.isp_cores must be an int >= 1, got {cores!r}")
 
 
 class _LocationWindow:
@@ -263,8 +277,6 @@ class SSDPlatform:
 
     def __init__(self, config: Optional[PlatformConfig] = None) -> None:
         self.config = config or PlatformConfig()
-        if self.config.isp_cores < 1:
-            raise SimulationError("PlatformConfig.isp_cores must be >= 1")
         ssd_config = self.config.ssd
         self.ssd = SSD(ssd_config)
         self.dram = DRAMDevice(self.config.dram)

@@ -150,3 +150,22 @@ class TestDefaultRosterShape:
     def test_isp_cores_must_be_positive(self):
         with pytest.raises(SimulationError):
             SSDPlatform(PlatformConfig(ssd=small_ssd_config(), isp_cores=0))
+
+    @pytest.mark.parametrize("cores", [-1, 2.5, 1.0, True, "2", None])
+    def test_isp_cores_must_be_an_int(self, cores):
+        with pytest.raises(SimulationError, match="isp_cores"):
+            PlatformConfig(isp_cores=cores)
+
+    @pytest.mark.parametrize("field", ["dram_compute_window_bytes",
+                                       "sram_window_bytes",
+                                       "host_cache_bytes"])
+    @pytest.mark.parametrize("budget", [0, -16 * KIB])
+    def test_window_budgets_must_be_positive(self, field, budget):
+        with pytest.raises(SimulationError, match=field):
+            PlatformConfig(**{field: budget})
+
+    def test_sub_page_window_budget_holds_one_page(self):
+        # Positive budgets below a flash page are floored to one page,
+        # not rejected (the eviction-heavy test platforms rely on it).
+        config = PlatformConfig(ssd=small_ssd_config(), sram_window_bytes=1)
+        assert SSDPlatform(config)._sram_window.capacity_pages == 1

@@ -135,3 +135,15 @@ class TestMetricsHelpers:
         assert len(timeline) == 10
         assert {"index", "uid", "op", "resource", "start_ns",
                 "end_ns"} <= set(timeline[0])
+
+    def test_timeline_zero_limit_is_empty(self, tiny_vector_program,
+                                          platform_config):
+        result = run(tiny_vector_program, "Conduit", platform_config)
+        assert result.timeline(limit=0) == []
+        assert len(result.timeline()) == result.instructions
+
+    def test_timeline_negative_limit_rejected(self, tiny_vector_program,
+                                              platform_config):
+        result = run(tiny_vector_program, "Conduit", platform_config)
+        with pytest.raises(ValueError, match="limit"):
+            result.timeline(limit=-1)

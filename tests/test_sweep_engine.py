@@ -1,7 +1,8 @@
 """Unit tests for the parallel sharded sweep engine.
 
 Covers the pickle-able :class:`RunSpec` unit of work, the stable cache
-key, the on-disk result cache, worker-count resolution (including the
+key, the on-disk result cache and the columnar encoding of its entries'
+records, worker-count resolution (including the
 ``REPRO_SWEEP_WORKERS`` CI override) and the core guarantee: a parallel
 sweep returns the same grid, in the same order, with bit-identical
 results, as a serial sweep.
@@ -9,22 +10,77 @@ results, as a serial sweep.
 
 from __future__ import annotations
 
+import copyreg
+import io
 import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.common import MIB
+from repro.common import MIB, BackendId, OpType, Resource
+from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
+                                InstructionRecord)
 from repro.core.platform import PlatformConfig
+from repro.energy.model import EnergyBreakdown
 from repro.experiments import (DEFAULT_SWEEP_CACHE_DIR, ExperimentConfig,
                                ExperimentRunner, RunSpec, SweepCache,
                                default_sweep_cache_dir, execute_run_spec,
-                               resolve_sweep_workers, run_spec_key)
+                               platform_variant, resolve_sweep_workers,
+                               run_spec_key)
 from repro.experiments.runner import SWEEP_CACHE_ENV, SWEEP_WORKERS_ENV
 from repro.ssd.config import small_ssd_config
 from repro.workloads import Jacobi1DWorkload, Workload, workload_by_name
 
 TINY_SCALE = 0.03
+
+TIME_FIELDS = ("dispatch_ns", "ready_ns", "start_ns", "end_ns",
+               "compute_ns", "data_movement_ns", "overhead_ns")
+
+
+def synthetic_result(records) -> ExecutionResult:
+    return ExecutionResult(
+        workload="synthetic", policy="Conduit", total_time_ns=1.0,
+        records=list(records),
+        energy=EnergyBreakdown(1.0, 2.0, {"isp": 1.0}, {"flash": 2.0}),
+        breakdown=ExecutionBreakdown(compute_ns=1.0))
+
+
+def old_format_pickle(result: ExecutionResult) -> bytes:
+    """``result`` pickled the way entries were written before the columnar
+    encoding: the generic dataclass path, one record object at a time."""
+
+    class GenericPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is ExecutionResult:
+                return copyreg.__newobj__, (ExecutionResult,), obj.__dict__
+            return NotImplemented
+
+    stream = io.BytesIO()
+    GenericPickler(stream, protocol=pickle.HIGHEST_PROTOCOL).dump(result)
+    return stream.getvalue()
+
+
+def mismatched_columns_pickle() -> bytes:
+    """A columnar entry whose last time column lost its final value."""
+    record = InstructionRecord(0, OpType.ADD, Resource.ISP,
+                               0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 0.0)
+    rebuild, (state, *columns) = synthetic_result(
+        [record, replace(record, uid=1)]).__reduce__()
+    columns[-1] = columns[-1][:1]
+
+    class Reduced:
+        def __reduce__(self):
+            return rebuild, (state, *columns)
+
+    return pickle.dumps(Reduced(), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def record_bits(result: ExecutionResult):
+    """Every record field, with floats as their exact IEEE value."""
+    return [(r.uid, r.op, r.resource,
+             *(float.hex(getattr(r, name)) for name in TIME_FIELDS))
+            for r in result.records]
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +221,9 @@ class TestSweepCache:
         b"not a pickle",
         b"\x80\x09junk",  # ValueError: unsupported pickle protocol
         b"I1\nI2\nR.",  # TypeError: REDUCE with a non-tuple argument
-    ], ids=["not-a-pickle", "bad-protocol", "bad-reduce"])
+        mismatched_columns_pickle(),  # ValueError: truncated record column
+    ], ids=["not-a-pickle", "bad-protocol", "bad-reduce",
+            "mismatched-columns"])
     def test_corrupt_entries_are_recomputed(self, tiny_config, tmp_path,
                                             payload):
         cache_dir = str(tmp_path / "cache")
@@ -201,6 +259,71 @@ class TestSweepCache:
         with pytest.raises(Exception):
             cache.store(spec, unpicklable)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestColumnarEntries:
+    """Results pickle their records as typed columns, bit-identically."""
+
+    @pytest.fixture(scope="class", params=["default", "isp-cores-2",
+                                           "default-aged"])
+    def spec_and_result(self, request, tiny_config):
+        platform = tiny_config.platform
+        if request.param == "isp-cores-2":
+            platform = replace(platform, isp_cores=2)
+        elif request.param == "default-aged":
+            platform = platform_variant("default-aged", base=platform)
+        spec = ExperimentRunner(tiny_config).spec_for(
+            Jacobi1DWorkload(scale=TINY_SCALE), "Conduit", platform=platform)
+        return request.param, spec, execute_run_spec(spec)
+
+    def test_store_load_round_trip(self, spec_and_result, tmp_path):
+        shape, spec, result = spec_and_result
+        if shape == "isp-cores-2":
+            assert any(isinstance(r.resource, BackendId)
+                       for r in result.records)
+        if shape == "default-aged":
+            assert result.maintenance.drive_age != "fresh"
+        cache = SweepCache(str(tmp_path))
+        cache.store(spec, result)
+        loaded = cache.load(spec)
+        assert cache.hits == 1
+        assert loaded == result
+        assert record_bits(loaded) == record_bits(result)
+        assert all(type(getattr(record, name)) is float
+                   for record in loaded.records for name in TIME_FIELDS)
+        assert all(type(record.uid) is int for record in loaded.records)
+
+    def test_entry_pickled_the_old_way_still_loads(self, spec_and_result,
+                                                   tmp_path):
+        _, spec, result = spec_and_result
+        payload = old_format_pickle(result)
+        assert b"_rebuild_execution_result" not in payload
+        (tmp_path / f"{run_spec_key(spec)}.pkl").write_bytes(payload)
+        loaded = SweepCache(str(tmp_path)).load(spec)
+        assert loaded == result
+        assert record_bits(loaded) == record_bits(result)
+
+    def test_columnar_entry_is_smaller(self, spec_and_result):
+        result = spec_and_result[2]
+        assert (len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                < len(old_format_pickle(result)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(
+        InstructionRecord,
+        st.integers(-2 ** 63, 2 ** 63 - 1),
+        st.sampled_from(list(OpType)),
+        st.sampled_from([*Resource, BackendId("isp[0]", Resource.ISP),
+                         BackendId("cxl-pud", Resource.PUD)]),
+        *[st.floats(allow_nan=False) | st.sampled_from(
+            [-0.0, float("inf"), float("-inf")])] * len(TIME_FIELDS)),
+        max_size=40))
+    @example(records=[])
+    def test_random_records_round_trip(self, records):
+        result = synthetic_result(records)
+        loaded = pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        assert loaded == result
+        assert record_bits(loaded) == record_bits(result)
 
 
 class TestWorkerResolution:
