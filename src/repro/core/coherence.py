@@ -14,7 +14,8 @@ Synchronisation is *lazy*: data is written back to flash only when another
 computation resource (or the host) requests the page, when it must be
 evicted to reuse the temporary location, on garbage collection, or on a
 power cycle.  A strict flush-on-every-write policy is modelled as well so
-the ablation benchmark can quantify why the paper rejects it.
+the ``coherence_ablation`` experiment can quantify why the paper rejects
+it.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class CoherenceDirectory:
 
     def owner(self, lpa: int) -> DataLocation:
         return self.entry(lpa).owner
-
-    def is_dirty(self, lpa: int) -> bool:
-        return self.entry(lpa).state is PageCoherenceState.DIRTY
 
     def tracked_pages(self) -> int:
         return len(self._entries)
@@ -245,9 +243,6 @@ class CoherenceDirectory:
             return [action]
         entry.owner = DataLocation.FLASH
         return []
-
-    def on_host_request(self, lpa: int) -> List[SyncAction]:
-        return self.on_read(lpa, DataLocation.HOST)
 
     def on_gc(self, lpas: Iterable[int]) -> List[SyncAction]:
         """Garbage collection forces synchronisation of affected pages."""

@@ -15,7 +15,7 @@ and selects::
 The maximum of the data-dependence and queueing delays is used because the
 two overlap: an instruction starts only when both its operands and the
 chosen resource are ready.  Ablation switches (sum instead of max, dropping
-individual features) are exposed for the design-choice benchmarks.
+individual features) are exposed for the ``cost_ablation`` experiment.
 """
 
 from __future__ import annotations

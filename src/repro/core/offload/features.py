@@ -73,14 +73,6 @@ class ResourceFeatures:
             return self.data_movement_latency_ns
         return self.data_movement_latency_ns + self.contention_delay_ns
 
-    def total_latency(self, *, combine_max: bool = True) -> float:
-        """Equation 1 of the paper (with the optional contention term)."""
-        overlap = (max(self.dependence_delay_ns, self.queueing_delay_ns)
-                   if combine_max
-                   else self.dependence_delay_ns + self.queueing_delay_ns)
-        return (self.expected_compute_latency_ns +
-                self.contended_data_movement_latency_ns + overlap)
-
 
 @dataclass(slots=True)
 class InstructionFeatures:
@@ -112,7 +104,7 @@ class InstructionFeatures:
 
 @dataclass(frozen=True)
 class FeatureCollectorConfig:
-    """Which features are collected (used by the ablation benchmarks)."""
+    """Which features are collected (used by the cost-model ablation)."""
 
     include_queueing_delay: bool = True
     include_dependence_delay: bool = True

@@ -147,6 +147,17 @@ class PlatformConfig:
         if isinstance(cores, bool) or not isinstance(cores, int) or cores < 1:
             raise SimulationError(
                 f"PlatformConfig.isp_cores must be an int >= 1, got {cores!r}")
+        # LinkContentionMonitor checks these too, but only once a platform
+        # is built -- inside a worker, during a parallel sweep.
+        alpha = self.contention_ewma_alpha
+        if not 0.0 < alpha <= 1.0:
+            raise SimulationError(
+                "PlatformConfig.contention_ewma_alpha must be in (0, 1], "
+                f"got {alpha!r}")
+        if self.contention_gain < 0.0:
+            raise SimulationError(
+                "PlatformConfig.contention_gain must be non-negative, "
+                f"got {self.contention_gain!r}")
 
 
 class _LocationWindow:
@@ -239,12 +250,6 @@ class DataMovementStats:
     internal_latency_ns: float = 0.0
     host_latency_ns: float = 0.0
     flash_read_latency_ns: float = 0.0
-
-    @property
-    def internal_pages(self) -> int:
-        return (self.flash_to_dram_pages + self.flash_to_sram_pages +
-                self.dram_to_sram_pages + self.sram_to_dram_pages +
-                self.writeback_pages)
 
 
 def backend_roster(config: PlatformConfig) -> Tuple[str, ...]:
@@ -459,10 +464,6 @@ class SSDPlatform:
         """Uncontended latency to move ``pages`` pages (lookup table)."""
         per_page = self._move_table[(source, destination)]
         return per_page * max(0, pages)
-
-    def move_table_lookup_latency_ns(self) -> float:
-        """Latency of one lookup of the precomputed table (Section 4.5)."""
-        return 100.0
 
     # ------------------------------------------------------------------------
     # Data movement (reserves buses, charges energy)
@@ -823,11 +824,6 @@ class SSDPlatform:
         """Expected computation latency of one instruction on ``resource``."""
         return self.backends[resource].operation_latency(op, size_bytes,
                                                          element_bits)
-
-    def compute_energy(self, resource: ResourceLike, op: OpType,
-                       size_bytes: int, element_bits: int) -> float:
-        return self.backends[resource].operation_energy(op, size_bytes,
-                                                        element_bits)
 
     def record_compute(self, now: float, resource: ResourceLike, op: OpType,
                        size_bytes: int, element_bits: int) -> float:

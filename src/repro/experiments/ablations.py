@@ -1,11 +1,9 @@
 """Design-choice ablations as registered experiments.
 
-The cost-model-feature, coherence-policy and vector-width ablations used
-to live only as hand-rolled loops in ``benchmarks/test_bench_ablations.py``;
-this module makes each one a first-class :class:`ExperimentDef` so they
-run through ``python -m repro run <name>`` (and the CLI smoke tests cover
-them) while the benchmarks import the shared row builders instead of
-duplicating the loops.
+The cost-model-feature, coherence-policy and vector-width ablations are
+each a first-class :class:`ExperimentDef`, so they run through
+``python -m repro run <name>``; ``tests/test_paper_claims.py`` calls the
+same row builders to check their sanity bounds at full scale.
 
 These are not (workload x policy) sweeps -- each varies something the
 sweep engine's :class:`RunSpec` does not carry (a ``CostModelConfig``, a

@@ -53,10 +53,9 @@ def experiment_platform_config() -> PlatformConfig:
     Capacity windows are scaled down together with the workload footprints
     so the paper's regime (dataset >> SSD DRAM, dataset >> host cache)
     holds while a full sweep stays fast.  This is the single source of
-    truth: the figure harnesses, the golden tests and
-    ``benchmarks/conftest.py`` all build their ``ExperimentConfig`` from
-    this factory (via the ``platform`` field default), so they cannot
-    drift apart.  Platform variants grow *from* this base (or from any
+    truth: the figure harnesses, the golden tests and the paper-claim
+    tests all build their ``ExperimentConfig`` from this factory (via the
+    ``platform`` field default), so they cannot drift apart.  Platform variants grow *from* this base (or from any
     explicitly supplied one).
     """
     return PlatformConfig(

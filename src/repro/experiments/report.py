@@ -1,7 +1,7 @@
 """Plain-text and JSON reporting helpers plus the full-report definition.
 
-The benchmark targets print the same rows/series the paper's figures show;
-these helpers keep that formatting in one place.  The ``report``
+The CLI prints the same rows/series the paper's figures show; these
+helpers keep that formatting in one place.  The ``report``
 experiment is a *composite* registry entry: its members (Table 3,
 Figs. 4-10, overheads) run in the paper's order against one shared result
 cache, so a full paper report costs one sharded sweep per figure the first

@@ -269,8 +269,7 @@ class TestExperimentRegistry:
                 assert row["speedup_vs_default"] == 1.0
 
     def test_design_ablations_are_registered_experiments(self, tiny_config):
-        # The cost-model / coherence / vector-width ablations, formerly
-        # hand-rolled in benchmarks/test_bench_ablations.py, run through
+        # The cost-model / coherence / vector-width ablations run through
         # the registry like every other experiment.
         cost = run_experiment("cost_ablation", tiny_config, parallel=False)
         variants = [row["variant"] for row in cost.sections["cost_ablation"]]

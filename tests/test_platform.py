@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common import DataLocation, KIB, MIB, OpType, Resource
+from repro.common import (DataLocation, KIB, MIB, OpType, Resource,
+                          SimulationError)
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.energy.model import EnergyAccount
 from repro.ssd.config import small_ssd_config
@@ -122,3 +123,24 @@ class TestComputeDispatch:
     def test_bandwidth_utilization_zero_before_activity(self, platform):
         for resource in (Resource.ISP, Resource.PUD, Resource.IFP):
             assert platform.bandwidth_utilization(resource, 1e6) == 0.0
+
+
+class TestContentionKnobValidation:
+    """Bad contention knobs fail when the config is built, not in a worker."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.3, 1.5])
+    def test_ewma_alpha_outside_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(SimulationError, match="contention_ewma_alpha"):
+            PlatformConfig(contention_ewma_alpha=alpha)
+
+    def test_negative_gain_is_rejected(self):
+        with pytest.raises(SimulationError, match="contention_gain"):
+            PlatformConfig(contention_gain=-0.5)
+
+    def test_boundary_values_are_accepted(self):
+        config = PlatformConfig(ssd=small_ssd_config(),
+                                contention_feedback=True,
+                                contention_ewma_alpha=1.0,
+                                contention_gain=0.0)
+        monitor = SSDPlatform(config).contention
+        assert (monitor.alpha, monitor.gain) == (1.0, 0.0)
