@@ -19,17 +19,25 @@ a zero-time setup step instead:
   worn, not pristine, distribution.
 
 Everything is drawn from one ``random.Random(profile.seed)`` stream
-walked in fixed geometry order, so a profile applied twice to the same
-configuration produces bit-identical array state.
+walked in fixed geometry order, so the aged state is a pure function of
+the (NAND geometry, profile) pair.  It is therefore built once per pair
+per process (a small LRU memo) and copied onto each platform: cold
+blocks are declared arithmetically, each fragmented block is bulk-loaded
+with fresh copies of its page state, and the frozen filler addresses are
+shared.  A sweep that builds dozens of aged platforms pays for the RNG
+walk once, and every copy is bit-identical to a page-by-page replay.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.common import ConfigurationError
+from repro.ssd.config import NANDConfig
+from repro.ssd.nand import PhysicalBlockAddress, PhysicalPageAddress
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ssd.ssd import SSD
@@ -161,48 +169,94 @@ class LifetimeConfig:
                 "LifetimeConfig.wl_blocks_per_run must be >= 0")
 
 
-def apply_drive_age(ssd: "SSD", profile: DriveAgeProfile) -> None:
-    """Pre-age an SSD's array in place (zero simulated time).
+@dataclass(frozen=True)
+class _PlaneAge:
+    """One plane's replayed history (shared by every platform; read-only)."""
 
-    Must run before dataset placement.  Filler logical pages live above
-    the drive's logical capacity so they can never collide with workload
-    LPAs; valid filler pages are registered in the FTL mapping (GC and
-    wear-leveling relocate them through the ordinary
-    :meth:`FlashTranslationLayer.relocate` path).  Operation counters are
-    reset afterwards: the pre-aged state is history, not simulated work,
-    so energy and wear-rate accounting start clean.
+    channel: int
+    die: int
+    plane: int
+    cold_blocks: int
+    #: ``(address, {page: lpa} of valid pages, invalid pages, erase
+    #: count)`` per fragmented block, in block order.
+    fragments: Tuple[Tuple[PhysicalBlockAddress, Dict[int, int],
+                           FrozenSet[int], int], ...]
+
+
+@dataclass(frozen=True)
+class _DriveAge:
+    """The aged array state of one (geometry, profile) pair (read-only)."""
+
+    planes: Tuple[_PlaneAge, ...]
+    #: Valid filler pages in geometry order (the FTL mapping's order).
+    mapping: Dict[int, PhysicalPageAddress]
+
+
+@functools.lru_cache(maxsize=8)
+def _drive_age(nand: NANDConfig, profile: DriveAgeProfile) -> _DriveAge:
+    """Walk the profile's RNG once and record the resulting array state.
+
+    The walk visits planes in geometry order and, per fragmented block,
+    draws one validity coin per programmed page and then the block's
+    erase count -- so the state is a pure function of the arguments.
     """
-    array = ssd.array
-    ftl = ssd.ftl
-    nand = array.config
     rng = random.Random(profile.seed)
     filler_lpa = nand.pages  # first LPA past the logical capacity
     fill_pages = max(1, int(profile.fragment_fill_fraction *
                             nand.pages_per_block))
+    blocks = nand.blocks_per_plane
+    fragmented = min(profile.fragmented_blocks_per_plane, max(0, blocks - 2))
+    free_target = max(2, round(profile.free_fraction * blocks))
+    cold = max(0, blocks - fragmented - free_target)
+    planes = []
+    mapping: Dict[int, PhysicalPageAddress] = {}
     for channel in range(nand.channels):
         for die in range(nand.dies_per_channel):
-            for plane_index in range(nand.planes_per_die):
-                plane = array.die(channel, die).plane(plane_index)
-                blocks = plane.block_count
-                fragmented = min(profile.fragmented_blocks_per_plane,
-                                 max(0, blocks - 2))
-                free_target = max(2, round(profile.free_fraction * blocks))
-                cold = max(0, blocks - fragmented - free_target)
-                array.mark_cold_blocks(channel, die, plane_index, cold,
-                                       profile.cold_erase_count)
-                for offset in range(fragmented):
-                    block = plane.block(cold + offset)
-                    for _ in range(fill_pages):
-                        lpa = filler_lpa
-                        filler_lpa += 1
-                        ppa = array.program_page(block.address, lpa)
+            for plane in range(nand.planes_per_die):
+                fragments = []
+                for block in range(cold, cold + fragmented):
+                    stored: Dict[int, int] = {}
+                    invalid = set()
+                    for page in range(fill_pages):
                         if rng.random() < profile.fragment_invalid_fraction:
-                            array.invalidate_page(ppa)
+                            invalid.add(page)
                         else:
-                            ftl.mapping[lpa] = ppa
-                    block.erase_count = rng.randint(
+                            stored[page] = filler_lpa
+                            mapping[filler_lpa] = PhysicalPageAddress(
+                                channel, die, plane, block, page)
+                        filler_lpa += 1
+                    erase_count = rng.randint(
                         profile.fragment_erase_count_min,
                         profile.fragment_erase_count_max)
+                    fragments.append((
+                        PhysicalBlockAddress(channel, die, plane, block),
+                        stored, frozenset(invalid), erase_count))
+                planes.append(_PlaneAge(channel, die, plane, cold,
+                                        tuple(fragments)))
+    return _DriveAge(tuple(planes), mapping)
+
+
+def apply_drive_age(ssd: "SSD", profile: DriveAgeProfile) -> None:
+    """Pre-age an SSD's array in place (zero simulated time).
+
+    Must run before dataset placement, and only once.  The aged state is
+    computed once per (NAND geometry, profile) per process and copied
+    onto this SSD: cold blocks are declared arithmetically, each
+    fragmented block is bulk-loaded with fresh copies of its page state
+    (:meth:`NANDArray.load_block`), and the valid filler pages join the
+    FTL mapping.  Filler logical pages live above the drive's logical
+    capacity so they can never collide with workload LPAs; GC and
+    wear-leveling relocate them through the ordinary
+    :meth:`FlashTranslationLayer.relocate` path.
+    """
+    array = ssd.array
+    state = _drive_age(array.config, profile)
+    for plane in state.planes:
+        array.mark_cold_blocks(plane.channel, plane.die, plane.plane,
+                               plane.cold_blocks, profile.cold_erase_count)
+        for address, stored, invalid, erase_count in plane.fragments:
+            array.load_block(address, stored, invalid, erase_count)
+    ssd.ftl.mapping.update(state.mapping)
     # Pre-aging is replayed history, not simulated work: the operation
     # counters feed wear-rate/energy views of *this run*, so they restart
     # at zero (erase *counts* on the blocks themselves keep the history).

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import AbstractSet, Dict, Iterator, List, Optional
 
 from repro.common import SimulationError
 from repro.ssd.config import NANDConfig
@@ -308,6 +308,34 @@ class NANDArray:
         plane_obj.cold_blocks = count
         plane_obj.cold_erase_count = erase_count
         self._free_blocks -= count
+
+    def load_block(self, address: PhysicalBlockAddress,
+                   stored: Dict[int, int], invalid: AbstractSet[int],
+                   erase_count: int) -> None:
+        """Bulk-program a never-touched block with replayed history.
+
+        ``stored`` maps each valid page to its logical page (in page
+        order) and ``invalid`` holds the invalidated pages; together they
+        must cover pages ``[0, write_cursor)``.  Both are copied, so the
+        caller may share them between arrays.  Only a block that was
+        never materialized (and is not cold) can be loaded: loading over
+        live data would silently corrupt it.
+        """
+        plane = self.dies[address.channel][address.die].planes[address.plane]
+        if address.block in plane._blocks or address.block < plane.cold_blocks:
+            raise SimulationError(
+                f"block {address} is already materialized or cold; age the "
+                "drive once, before placement")
+        write_cursor = len(stored) + len(invalid)
+        if not 0 < write_cursor <= plane.pages_per_block:
+            raise SimulationError(
+                f"cannot load {write_cursor} pages into block {address}")
+        block = plane.block(address.block)
+        block._stored = dict(stored)
+        block._invalid = set(invalid)
+        block.write_cursor = write_cursor
+        block.erase_count = erase_count
+        self._free_blocks -= 1
 
     # -- State-changing operations ------------------------------------------
 

@@ -8,11 +8,12 @@ core safety property: maintenance never loses a valid page.
 """
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, SimulationError
 from repro.core.platform import PlatformConfig, SSDPlatform
 from repro.experiments.runner import RunSpec, execute_run_spec
 from repro.ssd.config import (FTLConfig, GCVictimPolicy, NANDConfig,
@@ -46,6 +47,58 @@ def aged_small_ssd(profile: DriveAgeProfile,
     ssd = SSD(config)
     apply_drive_age(ssd, profile)
     return ssd
+
+
+def replay_drive_age(ssd: SSD, profile: DriveAgeProfile) -> None:
+    """Reference oracle: the per-page aging walk through the public
+    program/invalidate path, which the memoized bulk load must equal."""
+    array, nand = ssd.array, ssd.config.nand
+    rng = random.Random(profile.seed)
+    filler_lpa = nand.pages
+    fill_pages = max(1, int(profile.fragment_fill_fraction *
+                            nand.pages_per_block))
+    for plane in array.iter_planes():
+        blocks = plane.block_count
+        fragmented = min(profile.fragmented_blocks_per_plane,
+                         max(0, blocks - 2))
+        cold = max(0, blocks - fragmented -
+                   max(2, round(profile.free_fraction * blocks)))
+        array.mark_cold_blocks(plane.channel, plane.die, plane.plane, cold,
+                               profile.cold_erase_count)
+        for index in range(cold, cold + fragmented):
+            address = PhysicalBlockAddress(plane.channel, plane.die,
+                                           plane.plane, index)
+            for _ in range(fill_pages):
+                ppa = array.program_page(address, filler_lpa)
+                if rng.random() < profile.fragment_invalid_fraction:
+                    array.invalidate_page(ppa)
+                else:
+                    ssd.ftl.mapping[filler_lpa] = ppa
+                filler_lpa += 1
+            array.block(address).erase_count = rng.randint(
+                profile.fragment_erase_count_min,
+                profile.fragment_erase_count_max)
+    array.reads = array.programs = array.erases = 0
+
+
+def array_state(ssd: SSD) -> tuple:
+    """Everything GC and wear-leveling can observe, in iteration order."""
+    array = ssd.array
+    return (list(ssd.ftl.mapping.items()),
+            [(plane.cold_blocks, plane.cold_erase_count)
+             for plane in array.iter_planes()],
+            [(block.address, block.write_cursor, block.valid_lpas(),
+              block.page_states, block.erase_count)
+             for block in array.iter_blocks()],
+            array.free_block_count(), array.erase_count_stats(),
+            array.erase_count_variance(),
+            (array.reads, array.programs, array.erases))
+
+
+def assert_matches_oracle(ssd: SSD, profile: DriveAgeProfile) -> None:
+    expected = SSD(ssd.config)
+    replay_drive_age(expected, profile)
+    assert array_state(ssd) == array_state(expected)
 
 
 def assert_readback_intact(ssd: SSD) -> None:
@@ -174,8 +227,78 @@ class TestDriveAgeProfiles:
                 == second.array.erase_count_stats())
         assert (first.array.free_block_count()
                 == second.array.free_block_count())
-        assert sorted(first.ftl.mapping.items()) == sorted(
-            second.ftl.mapping.items())
+        # Ordered, not sorted: GC drains ``valid_lpas()`` and picks
+        # victims in materialization order, so order is observable state.
+        assert array_state(first) == array_state(second)
+
+    @pytest.mark.parametrize("name", sorted(DRIVE_AGE_PROFILES))
+    def test_bulk_load_matches_per_page_oracle(self, name):
+        profile = DRIVE_AGE_PROFILES[name]
+        assert_matches_oracle(aged_small_ssd(profile), profile)
+
+    @given(channels=st.integers(1, 2), dies=st.integers(1, 2),
+           planes=st.integers(1, 2), blocks=st.integers(1, 10),
+           pages=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           free_fraction=st.floats(0.01, 1.0),
+           fragmented=st.integers(0, 4),
+           fill=st.floats(0.01, 1.0), invalid=st.floats(0.0, 1.0),
+           erase_min=st.integers(0, 50), erase_spread=st.integers(0, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_bulk_load_matches_oracle_on_tiny_geometries(
+            self, channels, dies, planes, blocks, pages, seed,
+            free_fraction, fragmented, fill, invalid, erase_min,
+            erase_spread):
+        nand = NANDConfig(channels=channels, dies_per_channel=dies,
+                          planes_per_die=planes, blocks_per_plane=blocks,
+                          pages_per_block=pages)
+        profile = DriveAgeProfile(
+            free_fraction=free_fraction,
+            fragmented_blocks_per_plane=fragmented,
+            fragment_fill_fraction=fill, fragment_invalid_fraction=invalid,
+            cold_erase_count=erase_min + erase_spread,
+            fragment_erase_count_min=erase_min,
+            fragment_erase_count_max=erase_min + erase_spread, seed=seed)
+        ssd = SSD(SSDConfig(nand=nand))
+        apply_drive_age(ssd, profile)
+        assert_matches_oracle(ssd, profile)
+
+    def test_memoized_state_is_never_mutated_through_a_platform(self):
+        first = aged_small_ssd(NEAR_EOL_PROFILE)
+        second = aged_small_ssd(NEAR_EOL_PROFILE)
+        victim = next(block for block in first.array.iter_blocks()
+                      if block.valid_pages)
+        for lpa in victim.valid_lpas():
+            first.ftl.relocate(lpa)
+        first.array.erase_block(victim.address)
+        assert victim.valid_pages == 0 and victim.write_cursor == 0
+        assert_readback_intact(first)
+        third = aged_small_ssd(NEAR_EOL_PROFILE)
+        assert_matches_oracle(second, NEAR_EOL_PROFILE)
+        assert_matches_oracle(third, NEAR_EOL_PROFILE)
+
+    def test_aging_after_placement_is_refused(self):
+        ssd = SSD(small_ssd_config())
+        ssd.ftl.write(0)
+        with pytest.raises(SimulationError, match="already materialized"):
+            apply_drive_age(ssd, NEAR_EOL_PROFILE)
+
+    def test_aging_twice_is_refused(self):
+        ssd = aged_small_ssd(NEAR_EOL_PROFILE)
+        with pytest.raises(SimulationError, match="already has cold blocks"):
+            apply_drive_age(ssd, NEAR_EOL_PROFILE)
+
+    def test_aging_a_placed_drive_without_cold_blocks_is_refused(self):
+        """With no cold blocks the fragment block is the one placement
+        used first; loading it would append filler to live data."""
+        ssd = SSD(small_ssd_config())
+        ppa = ssd.ftl.write(0)
+        profile = DriveAgeProfile(free_fraction=1.0,
+                                  fragmented_blocks_per_plane=1)
+        with pytest.raises(SimulationError, match="already materialized"):
+            apply_drive_age(ssd, profile)
+        block = ssd.array.block(ppa.block_address())
+        assert (block.write_cursor, block.valid_lpas(),
+                block.erase_count) == (1, [0], 0)
 
     def test_seed_changes_the_fragmentation(self):
         base = aged_small_ssd(NEAR_EOL_PROFILE)
