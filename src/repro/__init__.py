@@ -26,7 +26,7 @@ from repro.core.offload import (ConduitPolicy, OffloadingPolicy,
                                 POLICY_REGISTRY, make_policy)
 from repro.core.platform import (PlatformConfig, SSDPlatform,
                                  backend_roster)
-from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
+from repro.core.runtime import ConduitRuntime, HostRuntime
 from repro.dram.cxl import CXLPuDConfig
 
 __version__ = "1.2.0"
@@ -39,5 +39,5 @@ __all__ = [
     "ExecutionResult", "energy_reduction", "geometric_mean", "speedup",
     "ConduitPolicy", "OffloadingPolicy", "POLICY_REGISTRY", "make_policy",
     "PlatformConfig", "SSDPlatform", "backend_roster", "ConduitRuntime",
-    "HostRuntime", "RuntimeConfig", "CXLPuDConfig", "__version__",
+    "HostRuntime", "CXLPuDConfig", "__version__",
 ]

@@ -246,9 +246,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                     parallel=not args.serial,
                                     workers=args.workers,
                                     cache_dir=cache_dir)
-    except ValueError as error:
+    except (ValueError, SimulationError) as error:
         # The library API's user-error channel (duplicate variants, bad
-        # worker counts, ...); internal failures still traceback.
+        # worker counts, bad scales, ...); internal failures still
+        # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
     for name, text in result.formatted().items():
@@ -278,6 +279,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.common import SimulationError
     from repro.experiments import (ExperimentConfig,
                                    default_sweep_cache_dir, format_table,
                                    run_compare, to_json)
@@ -289,7 +291,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         document = run_compare(args.experiment, args.base, args.other,
                                config, parallel=not args.serial,
                                workers=args.workers, cache_dir=cache_dir)
-    except ValueError as error:
+    except (ValueError, SimulationError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(f"== {args.experiment}: {args.base} vs {args.other} ==")

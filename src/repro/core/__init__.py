@@ -10,7 +10,7 @@ from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
                                 geometric_mean, speedup)
 from repro.core.platform import (DataMovementStats, PlatformConfig,
                                  SSDPlatform, backend_roster)
-from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
+from repro.core.runtime import ConduitRuntime, HostRuntime
 
 __all__ = [
     "BackendRegistry", "ComputeBackend", "backend_roster",
@@ -19,5 +19,4 @@ __all__ = [
     "ExecutionBreakdown", "ExecutionResult", "InstructionRecord",
     "energy_reduction", "geometric_mean", "speedup", "DataMovementStats",
     "PlatformConfig", "SSDPlatform", "ConduitRuntime", "HostRuntime",
-    "RuntimeConfig",
 ]

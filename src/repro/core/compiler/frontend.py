@@ -68,17 +68,17 @@ class Loop:
         """Total dynamic scalar operations this loop performs."""
         return self.trip_count * len(self.body) * self.repetitions
 
-    def is_fully_vectorizable(self, min_trip_count: int) -> bool:
+    def is_fully_vectorizable(self, min_trips: int) -> bool:
         return (not self.loop_carried_dependence
                 and not self.complex_control_flow
                 and not self.indirect_accesses
-                and self.trip_count >= min_trip_count)
+                and self.trip_count >= min_trips)
 
-    def is_partially_vectorizable(self, min_trip_count: int) -> bool:
+    def is_partially_vectorizable(self, min_trips: int) -> bool:
         """Strip-mining applies when only control flow blocks vectorization."""
-        if self.is_fully_vectorizable(min_trip_count):
+        if self.is_fully_vectorizable(min_trips):
             return False
-        return (self.trip_count >= min_trip_count
+        return (self.trip_count >= min_trips
                 and not self.loop_carried_dependence)
 
     @property

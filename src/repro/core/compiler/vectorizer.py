@@ -5,8 +5,8 @@ Reproduces the compile-time preprocessing of Section 4.3.1:
 * loops with computations are transformed into wide SIMD operations whose
   width matches the SSD's internal parallelism (``-force-vector-width=4096``
   with 32-bit operands = 16 KiB per vector operand, aligned to flash pages);
-* ``-force-vector-interleave=1`` keeps one vector operation per original
-  statement so offloading stays at instruction granularity;
+* each original statement emits one vector operation per chunk (no
+  unrolled copies) so offloading stays at instruction granularity;
 * loops that cannot be fully vectorized (control flow, small trip counts)
   are *partially* vectorized via strip-mining, with predication (SELECT)
   inserted for if-converted branches;
@@ -32,21 +32,22 @@ from repro.core.compiler.ir import (ArrayRef, ArraySpec, Immediate,
 from repro.common import LatencyClass, OpClass
 
 
+#: Loops shorter than this are not worth vectorizing.
+MIN_TRIP_COUNT = 64
+#: Strip-mined (partially vectorized) loops use the vector width divided
+#: by this.
+PARTIAL_WIDTH_DIVISOR = 8
+#: Dynamic scalar operations folded into one aggregated SCALAR instruction
+#: (keeps the emitted instruction count tractable while preserving total
+#: scalar work).
+SCALAR_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class VectorizerConfig:
-    """Compiler-flag equivalents."""
+    """Compiler-flag equivalents (``-force-vector-width``)."""
 
     vector_width: int = DEFAULT_VECTOR_WIDTH
-    interleave: int = 1
-    enable_partial_vectorization: bool = True
-    #: Loops shorter than this are not worth vectorizing.
-    min_trip_count: int = 64
-    #: Effective width used when strip-mining partially vectorizable loops.
-    partial_width_divisor: int = 8
-    #: Dynamic scalar operations folded into one aggregated SCALAR
-    #: instruction (keeps the emitted instruction count tractable while
-    #: preserving total scalar work).
-    scalar_chunk: int = 4096
 
 
 @dataclass
@@ -155,7 +156,7 @@ class AutoVectorizer:
                    tracker: _RegionDependencyTracker,
                    report: VectorizationReport, uid: int) -> int:
         config = self.config
-        if loop.is_fully_vectorizable(config.min_trip_count):
+        if loop.is_fully_vectorizable(MIN_TRIP_COUNT):
             remark = LoopRemark(loop=loop.name, vectorized=True,
                                 partial=False,
                                 reason="loop vectorized (width "
@@ -165,9 +166,8 @@ class AutoVectorizer:
                                            predicated=False)
             report.vectorized_scalar_operations += loop.scalar_operations
             report.vectorized_static_operations += loop.static_operations
-        elif (config.enable_partial_vectorization
-              and loop.is_partially_vectorizable(config.min_trip_count)):
-            width = max(1, config.vector_width // config.partial_width_divisor)
+        elif loop.is_partially_vectorizable(MIN_TRIP_COUNT):
+            width = max(1, config.vector_width // PARTIAL_WIDTH_DIVISOR)
             remark = LoopRemark(loop=loop.name, vectorized=True, partial=True,
                                 reason="partially vectorized via "
                                        f"strip-mining (width {width})")
@@ -281,7 +281,7 @@ class AutoVectorizer:
                           remark: LoopRemark, uid: int) -> int:
         """Emit aggregated SCALAR instructions for a non-vectorizable loop."""
         total_ops = loop.scalar_operations
-        chunk = self.config.scalar_chunk
+        chunk = SCALAR_CHUNK
         chunks = max(1, math.ceil(total_ops / chunk))
         previous_uid: Optional[int] = None
         for index in range(chunks):
@@ -306,7 +306,7 @@ class AutoVectorizer:
 
     def _emit_scalar_section(self, ir: VectorProgram, section: ScalarSection,
                              report: VectorizationReport, uid: int) -> int:
-        chunk = self.config.scalar_chunk
+        chunk = SCALAR_CHUNK
         chunks = max(1, math.ceil(section.operation_count / chunk))
         previous_uid: Optional[int] = None
         for index in range(chunks):

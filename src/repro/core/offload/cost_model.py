@@ -20,7 +20,7 @@ individual features) are exposed for the ``cost_ablation`` experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common import ResourceLike, SimulationError
@@ -35,7 +35,6 @@ class CostModelConfig:
     include_data_movement: bool = True
     include_queueing_delay: bool = True
     include_dependence_delay: bool = True
-    include_compute_latency: bool = True
 
 
 @dataclass(slots=True)
@@ -55,7 +54,6 @@ class CostFunction:
 
     def __init__(self, config: Optional[CostModelConfig] = None) -> None:
         self.config = config or CostModelConfig()
-        self.evaluations = 0
 
     def estimate(self, features: ResourceFeatures) -> CostEstimate:
         """Equation 1 for one resource.
@@ -66,8 +64,7 @@ class CostFunction:
         ``PlatformConfig.contention_feedback`` is off).
         """
         config = self.config
-        compute = (features.expected_compute_latency_ns
-                   if config.include_compute_latency else 0.0)
+        compute = features.expected_compute_latency_ns
         movement = (features.contended_data_movement_latency_ns
                     if config.include_data_movement else 0.0)
         dependence = (features.dependence_delay_ns
@@ -101,7 +98,6 @@ class CostFunction:
         tie-break would silently depend on enum definition order and has
         no meaning for registry-minted identities).
         """
-        self.evaluations += 1
         estimate = self.estimate
         estimates: Dict[ResourceLike, CostEstimate] = {}
         target: Optional[ResourceLike] = None

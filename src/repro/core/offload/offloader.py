@@ -24,14 +24,13 @@ overhead of Section 4.5.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import DataLocation, ResourceLike, SimulationError
+from repro.common import DataLocation, ResourceLike
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.layout import ArrayLayout
 from repro.core.offload.features import (FeatureCollector,
-                                         FeatureCollectorConfig,
                                          InstructionFeatures)
 from repro.core.offload.policies import OffloadingPolicy, PolicyContext
 from repro.core.offload.transform import (InstructionTransformer,
@@ -39,20 +38,9 @@ from repro.core.offload.transform import (InstructionTransformer,
 from repro.core.platform import SSDPlatform
 
 
-@dataclass(frozen=True)
-class OffloaderConfig:
-    """Tunables of the runtime offloader."""
-
-    #: Independent feature lookups issued concurrently by the offloader
-    #: core; the serial dispatcher occupancy is overhead / pipeline_depth.
-    pipeline_depth: int = 8
-    #: Maximum number of dispatched-but-incomplete instructions.  The
-    #: offloader core issues in order and stalls once this window is full,
-    #: which bounds how far dispatch runs ahead of execution (and therefore
-    #: how large the queueing-delay estimates can grow).
-    max_outstanding: int = 64
-    feature_config: FeatureCollectorConfig = field(
-        default_factory=FeatureCollectorConfig)
+#: Independent feature lookups issued concurrently by the offloader core;
+#: the serial dispatcher occupancy is overhead / PIPELINE_DEPTH.
+PIPELINE_DEPTH = 8
 
 
 @dataclass(slots=True)
@@ -76,19 +64,15 @@ class SSDOffloader:
     """Per-instruction offloading engine."""
 
     def __init__(self, platform: SSDPlatform, layout: ArrayLayout,
-                 policy: OffloadingPolicy,
-                 config: Optional[OffloaderConfig] = None) -> None:
+                 policy: OffloadingPolicy) -> None:
         self.platform = platform
         self.layout = layout
         self.policy = policy
-        self.config = config or OffloaderConfig()
-        self.collector = FeatureCollector(platform, layout,
-                                          self.config.feature_config)
+        self.collector = FeatureCollector(platform, layout)
         self.transformer = InstructionTransformer(platform)
         self.decisions: List[OffloadDecision] = []
         # Dispatch-loop constants and handles, resolved once: the offload
         # path runs per instruction and per policy.
-        self._pipeline_depth = max(1, self.config.pipeline_depth)
         self._is_ideal = policy.is_ideal
         self._choose = policy.choose
         self._collect = self.collector.collect
@@ -154,7 +138,7 @@ class SSDOffloader:
         # Inlined single-server dispatch-core reservation (the serial
         # occupancy is always nonnegative, so the negative-duration guard
         # of Server.reserve cannot fire).
-        serial_ns = overhead_ns / self._pipeline_depth
+        serial_ns = overhead_ns / PIPELINE_DEPTH
         core = self._dispatch_core
         free = core._free_at
         dispatch_start = arrival_ns if arrival_ns >= free else free

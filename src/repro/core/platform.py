@@ -30,8 +30,8 @@ destination's capacity window fall back to the per-page reference path
 (:meth:`SSDPlatform.ensure_pages_at`), because evicted pages' write-backs
 interleave with the segment's own transfers on the shared buses.  The
 batched and per-page paths therefore produce identical simulated timings,
-energy and movement counters; ``PlatformConfig.batched_movement`` selects
-between them so the golden-equivalence test can compare both.
+energy and movement counters; the test suite keeps a platform whose run
+methods loop over the per-page path as the batched engine's oracle.
 """
 
 from __future__ import annotations
@@ -61,6 +61,14 @@ from repro.ssd.lifetime import (BackgroundFlashEngine, LifetimeConfig,
                                 MaintenanceStats, apply_drive_age)
 from repro.ssd.queues import ResourceQueueSet
 from repro.ssd.ssd import SSD
+
+#: EWMA smoothing factor of the movement-overrun samples fed to the
+#: platform's :class:`LinkContentionMonitor` (1.0 keeps only the latest
+#: sample).
+CONTENTION_EWMA_ALPHA = 0.3
+#: Gain weighting the smoothed relative overrun charged back to an
+#: estimate (``scale = 1 + gain * (relative_overrun - 1)``).
+CONTENTION_GAIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -101,17 +109,6 @@ class PlatformConfig:
     #: goldens keep reproducing the paper's uncorrected cost model
     #: bit-exactly.
     contention_feedback: bool = False
-    #: EWMA smoothing factor of the movement-overrun samples (1.0 keeps
-    #: only the latest sample).
-    contention_ewma_alpha: float = 0.3
-    #: Gain weighting the smoothed relative overrun charged back to an
-    #: estimate (``scale = 1 + gain * (relative_overrun - 1)``).
-    contention_gain: float = 2.0
-
-    #: Move operands as contiguous LPA runs (one sized bus reservation per
-    #: run segment).  ``False`` selects the per-page reference path, kept
-    #: for the golden-equivalence test of the batched engine.
-    batched_movement: bool = True
 
     # -- Backend roster (the platform's compute shape is data, not code) ----
 
@@ -147,17 +144,6 @@ class PlatformConfig:
         if isinstance(cores, bool) or not isinstance(cores, int) or cores < 1:
             raise SimulationError(
                 f"PlatformConfig.isp_cores must be an int >= 1, got {cores!r}")
-        # LinkContentionMonitor checks these too, but only once a platform
-        # is built -- inside a worker, during a parallel sweep.
-        alpha = self.contention_ewma_alpha
-        if not 0.0 < alpha <= 1.0:
-            raise SimulationError(
-                "PlatformConfig.contention_ewma_alpha must be in (0, 1], "
-                f"got {alpha!r}")
-        if self.contention_gain < 0.0:
-            raise SimulationError(
-                "PlatformConfig.contention_gain must be non-negative, "
-                f"got {self.contention_gain!r}")
 
 
 class _LocationWindow:
@@ -333,8 +319,8 @@ class SSDPlatform:
         #: fed only when ``config.contention_feedback`` is enabled (see
         #: :mod:`repro.core.contention`).  Owned per platform, so every
         #: run starts from clean feedback state.
-        self.contention = LinkContentionMonitor(
-            self.config.contention_ewma_alpha, self.config.contention_gain)
+        self.contention = LinkContentionMonitor(CONTENTION_EWMA_ALPHA,
+                                                CONTENTION_GAIN)
     # ------------------------------------------------------------------------
     # Backend registry (the platform's compute shape, grown from config)
     # ------------------------------------------------------------------------
@@ -496,12 +482,6 @@ class SSDPlatform:
         through the run transfer engine.  Timing, energy and statistics are
         identical to per-page :meth:`ensure_pages_at` over the same pages.
         """
-        if not self.config.batched_movement:
-            finish = now
-            for base, count in runs:
-                finish = max(finish, self.ensure_pages_at(
-                    now, range(base, base + count), destination))
-            return finish
         finish = now
         get = self._residence.get
         flash = DataLocation.FLASH
@@ -700,10 +680,6 @@ class SSDPlatform:
         whose insertion must evict fall back to the per-page path (the
         evicted pages' write-backs interleave on the shared buses).
         """
-        if not self.config.batched_movement:
-            for base, count in runs:
-                self.mark_produced(now, range(base, base + count), location)
-            return
         window = self._window_for(location)
         residence = self._residence
         flash = DataLocation.FLASH

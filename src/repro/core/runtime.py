@@ -19,7 +19,6 @@ Two engines live here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common import DataLocation, Resource, SimulationError
@@ -28,31 +27,24 @@ from repro.core.compiler.ir import VectorProgram
 from repro.core.layout import ArrayLayout
 from repro.core.metrics import (ExecutionBreakdown, ExecutionResult,
                                 InstructionRecord)
-from repro.core.offload.offloader import OffloaderConfig, SSDOffloader
+from repro.core.offload.offloader import SSDOffloader
 from repro.core.offload.policies import OffloadingPolicy
 from repro.core.platform import SSDPlatform
 from repro.ssd.events import Server
 
 
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """Configuration of the execution engines."""
-
-    offloader: OffloaderConfig = field(default_factory=OffloaderConfig)
-    #: Whether to model the one-time binary download over NVMe.
-    transfer_binary: bool = True
-    #: Whether to place operand arrays colocated per block so in-flash
-    #: bitwise operations find their operands in one block (Section 4.4).
-    colocate_for_ifp: bool = True
+#: Maximum number of dispatched-but-incomplete instructions.  The
+#: offloader core issues in order and stalls once this window is full,
+#: which bounds how far dispatch runs ahead of execution (and therefore
+#: how large the queueing-delay estimates can grow).
+MAX_OUTSTANDING = 64
 
 
 class ConduitRuntime:
     """Executes a vectorized program on the NDP-capable SSD platform."""
 
-    def __init__(self, platform: Optional[SSDPlatform] = None,
-                 config: Optional[RuntimeConfig] = None) -> None:
+    def __init__(self, platform: Optional[SSDPlatform] = None) -> None:
         self.platform = platform or SSDPlatform()
-        self.config = config or RuntimeConfig()
 
     # -- Setup helpers -----------------------------------------------------------
 
@@ -63,16 +55,15 @@ class ConduitRuntime:
         return layout
 
     def _place_dataset(self, layout: ArrayLayout) -> None:
-        groups = None
-        if self.config.colocate_for_ifp:
-            pages_per_block = self.platform.config.ssd.nand.pages_per_block
-            groups = layout.colocation_groups(pages_per_block)
-        self.platform.setup_dataset(layout.all_lpas(),
-                                    colocated_groups=groups)
+        # Operand arrays are colocated per block so in-flash bitwise
+        # operations find their operands in one block (Section 4.4).
+        pages_per_block = self.platform.config.ssd.nand.pages_per_block
+        self.platform.setup_dataset(
+            layout.all_lpas(),
+            colocated_groups=layout.colocation_groups(pages_per_block))
 
     def _ship_binary(self, program: VectorProgram) -> float:
-        if not self.config.transfer_binary:
-            return 0.0
+        """The one-time binary download over NVMe; returns its end time."""
         binary = BinaryEncoder().encode(program)
         return transfer_binary(self.platform.ssd.nvme, binary, now=0.0)
 
@@ -89,8 +80,7 @@ class ConduitRuntime:
         start_ns = self._ship_binary(program)
         platform.ssd.enter_computation_mode()
 
-        offloader = SSDOffloader(platform, layout, policy,
-                                 self.config.offloader)
+        offloader = SSDOffloader(platform, layout, policy)
         records: List[InstructionRecord] = []
         makespan = self._drive_reference(program, offloader, records,
                                          start_ns)
@@ -127,7 +117,7 @@ class ConduitRuntime:
         platform = self.platform
         completion: Dict[int, float] = {}
         outstanding: List[float] = []  # completion times, kept as a heap
-        max_outstanding = self.config.offloader.max_outstanding
+        max_outstanding = MAX_OUTSTANDING
         makespan = start_ns
         completion_get = completion.get
         dispatch_core = platform.dispatch_core
@@ -170,10 +160,8 @@ class ConduitRuntime:
 class HostRuntime:
     """Executes a vectorized program on the host CPU or GPU (OSP baseline)."""
 
-    def __init__(self, platform: Optional[SSDPlatform] = None,
-                 config: Optional[RuntimeConfig] = None) -> None:
+    def __init__(self, platform: Optional[SSDPlatform] = None) -> None:
         self.platform = platform or SSDPlatform()
-        self.config = config or RuntimeConfig()
 
     def execute(self, program: VectorProgram, device: Resource,
                 workload_name: Optional[str] = None) -> ExecutionResult:

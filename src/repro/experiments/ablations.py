@@ -74,7 +74,7 @@ def coherence_ablation_rows(config: ExperimentConfig) -> Rows:
                          ("strict", CoherencePolicy.STRICT)):
         platform = SSDPlatform(replace(config.platform,
                                        coherence_policy=policy))
-        result = ConduitRuntime(platform, config.runtime).execute(
+        result = ConduitRuntime(platform).execute(
             program, ConduitPolicy(), workload.name)
         rows.append({"coherence": name,
                      "time_ms": result.total_time_ns / 1e6,
@@ -93,7 +93,7 @@ def vector_width_ablation_rows(
         program, _ = workload.vector_program(
             VectorizerConfig(vector_width=width))
         platform = SSDPlatform(config.platform)
-        result = ConduitRuntime(platform, config.runtime).execute(
+        result = ConduitRuntime(platform).execute(
             program, ConduitPolicy(), workload.name)
         rows.append({"vector_width": width,
                      "instructions": result.instructions,

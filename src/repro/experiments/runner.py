@@ -17,7 +17,7 @@ a fresh platform -- so :meth:`ExperimentRunner.sweep` can shard the pairs
 over a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * each pair becomes a pickle-able :class:`RunSpec` (workload name, scale,
-  policy name, platform and runtime configuration) executed by the
+  policy name, platform configuration) executed by the
   module-level :func:`execute_run_spec` worker;
 * shards are submitted and reassembled in deterministic (workload, policy)
   order, so the result grid is bit-identical to a serial sweep and
@@ -51,7 +51,7 @@ from repro.core.metrics import ExecutionResult, geometric_mean, speedup
 from repro.core.offload.policies import OffloadingPolicy, make_policy
 from repro.core.platform import (PlatformConfig, SSDPlatform,
                                  backend_roster)
-from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
+from repro.core.runtime import ConduitRuntime, HostRuntime
 from repro.experiments.platforms import (experiment_platform_config,
                                          platform_variant)
 from repro.workloads import Workload, default_workloads, workload_by_name
@@ -84,10 +84,10 @@ DEFAULT_SWEEP_CACHE_DIR = ".sweep_cache"
 #: Version 2: the compute-backend registry refactor (dispatch, tie-breaks
 #: and candidate discovery now flow through the platform's backend roster).
 #: Version 3: the contention-aware cost model -- ``PlatformConfig`` grew
-#: ``contention_feedback`` / ``contention_ewma_alpha`` / ``contention_gain``
-#: (the canonical config encoding folds them into every key, orphaning
-#: pre-field entries), the CXL tier gained a modelled command link, and
-#: IFP execution-channel traffic moved behind the backend protocol.
+#: its contention-feedback fields (the canonical config encoding folds
+#: them into every key, orphaning pre-field entries), the CXL tier gained
+#: a modelled command link, and IFP execution-channel traffic moved
+#: behind the backend protocol.
 #: Version 4: the device-lifetime subsystem -- ``PlatformConfig`` grew a
 #: ``lifetime`` axis (background GC/wear engine, drive-age profiles) and
 #: ``FTLConfig`` grew the adaptive-FTL knobs (``gc_victim_policy``,
@@ -99,6 +99,8 @@ DEFAULT_SWEEP_CACHE_DIR = ".sweep_cache"
 #: hash, zipf generator parameters), so content-defined workloads key the
 #: cache by *what* they run, not just their registry name, and pre-field
 #: pickles are orphaned rather than silently matched without it.
+#: Adding or removing a ``RunSpec`` / config field needs no bump: it
+#: changes the canonical encoding, hence every key, by itself.
 SWEEP_CACHE_VERSION = 5
 
 #: The workload scale experiments (and the CLI's ``--scale``) default to.
@@ -114,7 +116,6 @@ class ExperimentConfig:
     workload_scale: float = DEFAULT_WORKLOAD_SCALE
     platform: PlatformConfig = field(
         default_factory=experiment_platform_config)
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def workloads(self) -> List[Workload]:
         return default_workloads(scale=self.workload_scale)
@@ -131,8 +132,8 @@ class RunSpec:
 
     The spec is a pure-data, pickle-able value: the workload is referenced
     by its registry name plus scale (workload generators are deterministic
-    functions of the scale, see :mod:`repro.workloads`), and the platform /
-    runtime configurations are frozen dataclass trees.  Two equal specs
+    functions of the scale, see :mod:`repro.workloads`), and the platform
+    configuration is a frozen dataclass tree.  Two equal specs
     therefore always produce bit-identical :class:`ExecutionResult`\\ s,
     which is what makes both process-pool execution and on-disk caching
     safe.
@@ -143,7 +144,6 @@ class RunSpec:
     policy: str
     platform: PlatformConfig = field(
         default_factory=experiment_platform_config)
-    runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     #: Display label of the platform-axis variant this spec belongs to
     #: (see :mod:`repro.experiments.platforms`).  A *label only*: the
     #: semantics live entirely in ``platform``, so the cache key excludes
@@ -184,7 +184,7 @@ def run_spec_key(spec: RunSpec) -> str:
     """Stable content hash of a :class:`RunSpec` (plus cache version).
 
     The key covers every code-relevant knob: workload identity and scale,
-    policy name, and the full platform/runtime configuration trees.  The
+    policy name, and the full platform configuration tree.  The
     enabled-backend roster is folded in explicitly (on top of the platform
     configuration that implies it), so entries recorded on a
     differently-shaped platform can never be served, even if a future
@@ -233,9 +233,9 @@ def _execute(program: VectorProgram, spec: RunSpec) -> ExecutionResult:
         if spec.policy in HOST_POLICIES:
             device = (Resource.HOST_CPU if spec.policy == "CPU"
                       else Resource.HOST_GPU)
-            runtime = HostRuntime(platform, spec.runtime)
+            runtime = HostRuntime(platform)
             return runtime.execute(program, device, spec.workload)
-        runtime = ConduitRuntime(platform, spec.runtime)
+        runtime = ConduitRuntime(platform)
         return runtime.execute(program, make_policy(spec.policy),
                                spec.workload)
     finally:
@@ -406,7 +406,6 @@ class ExperimentRunner:
                        policy=policy_name,
                        platform=(platform if platform is not None
                                  else self.config.platform),
-                       runtime=self.config.runtime,
                        platform_name=platform_name,
                        workload_params=workload.cache_identity())
 
@@ -422,7 +421,7 @@ class ExperimentRunner:
         """Run one workload under an externally constructed policy."""
         program = self.program_for(workload)
         platform = SSDPlatform(self.config.platform)
-        runtime = ConduitRuntime(platform, self.config.runtime)
+        runtime = ConduitRuntime(platform)
         return runtime.execute(program, policy, workload.name)
 
     # -- Sweeps -----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -74,8 +75,9 @@ class Workload(abc.ABC):
     paper: PaperCharacteristics = PaperCharacteristics(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0:
-            raise SimulationError("workload scale must be positive")
+        if not math.isfinite(scale) or scale <= 0:
+            raise SimulationError(
+                f"workload scale must be positive and finite, got {scale!r}")
         self.scale = scale
         self._floor_warned = False
 

@@ -1,18 +1,25 @@
 """Random-program strategies shared by the differential suites.
 
 Hypothesis strategies and builders for synthetic instruction streams, the
-small platform they run on, and the bit-equality check between two
+small platform they run on, the per-page movement oracle
+(:class:`PerPagePlatform`), and the bit-equality check between two
 :class:`ExecutionResult` trees.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Optional, Tuple
+
 from hypothesis import strategies as st
 
-from repro.common import KIB, MIB, OpType
+from repro.common import KIB, MIB, DataLocation, OpType, Resource
 from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
                                     VectorProgram)
-from repro.core.platform import PlatformConfig
+from repro.core.metrics import ExecutionResult
+from repro.core.offload.policies import make_policy
+from repro.core.platform import PlatformConfig, SSDPlatform
+from repro.core.runtime import ConduitRuntime, HostRuntime
+from repro.experiments.runner import HOST_POLICIES
 from repro.ssd.config import small_ssd_config
 
 #: Enum members are sorted before ``sampled_from`` so the Hypothesis
@@ -53,6 +60,40 @@ def small_config(**overrides) -> PlatformConfig:
                           dram_compute_window_bytes=1 * MIB,
                           sram_window_bytes=256 * KIB,
                           host_cache_bytes=1 * MIB, **overrides)
+
+
+class PerPagePlatform(SSDPlatform):
+    """The run-batched movement engine's oracle.
+
+    Its run methods loop over the per-page reference path
+    (:meth:`SSDPlatform.ensure_pages_at` / :meth:`SSDPlatform.mark_produced`),
+    so every page pays its own bus reservation, energy charge and
+    coherence check.  The batched engine must match it bit for bit.
+    """
+
+    def ensure_runs_at(self, now: float, runs: Iterable[Tuple[int, int]],
+                       destination: DataLocation) -> float:
+        finish = now
+        for base, count in runs:
+            finish = max(finish, self.ensure_pages_at(
+                now, range(base, base + count), destination))
+        return finish
+
+    def mark_produced_run(self, now: float, runs: Iterable[Tuple[int, int]],
+                          location: DataLocation) -> None:
+        for base, count in runs:
+            self.mark_produced(now, range(base, base + count), location)
+
+
+def execute_on(platform: SSDPlatform, program: VectorProgram, policy: str,
+               workload_name: Optional[str] = None) -> ExecutionResult:
+    """Run ``program`` under the named policy on ``platform``, dispatching
+    host baselines to :class:`HostRuntime` as the sweep engine does."""
+    if policy in HOST_POLICIES:
+        device = Resource.HOST_CPU if policy == "CPU" else Resource.HOST_GPU
+        return HostRuntime(platform).execute(program, device, workload_name)
+    return ConduitRuntime(platform).execute(program, make_policy(policy),
+                                            workload_name)
 
 
 def assert_bit_equal(a, b):

@@ -10,8 +10,9 @@ Two layers of protection:
 
 * ``GOLDEN`` pins results recorded from the seed's per-page implementation
   (workload scale 0.25, the experiment platform config).  The per-page
-  reference path must keep reproducing them, which guards against silent
-  drift of the reference itself.
+  reference path (:class:`tests.random_programs.PerPagePlatform`) must
+  keep reproducing them, which guards against silent drift of the
+  reference itself.
 * Every golden scenario also runs through the batched path and must match
   the per-page path on total time, energy breakdown and every
   data-movement counter, within float tolerance.
@@ -24,12 +25,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.common import DataLocation, Resource
-from repro.core.offload.policies import make_policy
-from repro.core.platform import PlatformConfig, SSDPlatform
-from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
+from repro.common import DataLocation
+from repro.core.platform import SSDPlatform
 from repro.experiments import ExperimentConfig, experiment_platform_config
 from repro.workloads import default_workloads
+
+from tests.random_programs import PerPagePlatform, execute_on
 
 #: Workload scale the golden values were recorded at (seed, per-page path).
 GOLDEN_SCALE = 0.25
@@ -97,14 +98,8 @@ def programs():
 
 def run_scenario(config: ExperimentConfig, program, policy_name: str,
                  batched: bool):
-    platform = SSDPlatform(replace(config.platform,
-                                   batched_movement=batched))
-    if policy_name == "CPU":
-        result = HostRuntime(platform, config.runtime).execute(
-            program, Resource.HOST_CPU)
-    else:
-        result = ConduitRuntime(platform, config.runtime).execute(
-            program, make_policy(policy_name))
+    platform = (SSDPlatform if batched else PerPagePlatform)(config.platform)
+    result = execute_on(platform, program, policy_name)
     movement = platform.movement
     return {
         "total_time_ns": result.total_time_ns,
@@ -190,8 +185,8 @@ class TestRunPrimitives:
     """Direct unit checks of the batched movement primitives."""
 
     def make_platform(self, batched: bool) -> SSDPlatform:
-        return SSDPlatform(replace(experiment_platform_config(),
-                                   batched_movement=batched))
+        return (SSDPlatform if batched else PerPagePlatform)(
+            experiment_platform_config())
 
     def test_ensure_runs_at_equals_ensure_pages_at(self):
         batched = self.make_platform(True)
@@ -237,9 +232,8 @@ class TestRunPrimitives:
         small = replace(experiment_platform_config(),
                         dram_compute_window_bytes=8 * 4096)
         results = []
-        for batched in (True, False):
-            platform = SSDPlatform(replace(small,
-                                           batched_movement=batched))
+        for platform_class in (SSDPlatform, PerPagePlatform):
+            platform = platform_class(small)
             window_pages = platform._dram_window.capacity_pages
             total = window_pages * 3
             platform.setup_dataset(range(total))

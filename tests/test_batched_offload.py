@@ -4,7 +4,8 @@ Offload decisions take a single per-instruction path
 (``SSDOffloader.offload``).  With ``contention_feedback=True`` each
 decision reads the live contention of the movement it follows, so the
 decisions -- not just their timings -- must come out identical whether
-that movement ran on the run-batched engine or on its per-page oracle.
+that movement ran on the run-batched engine or on its per-page oracle
+(:class:`tests.random_programs.PerPagePlatform`).
 Bit-equality -- not float tolerance -- is the contract.
 
 Three layers:
@@ -23,16 +24,15 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.offload.policies import make_policy
 from repro.core.platform import SSDPlatform
-from repro.core.runtime import ConduitRuntime
 from repro.experiments import ExperimentConfig, ExperimentRunner, \
     platform_variant
 from repro.experiments.runner import RunSpec, run_spec_key
 from repro.workloads import workload_by_name
 
-from tests.random_programs import (INSTRUCTION, assert_bit_equal,
-                                   build_program, small_config)
+from tests.random_programs import (INSTRUCTION, PerPagePlatform,
+                                   assert_bit_equal, build_program,
+                                   execute_on, small_config)
 
 
 class TestRandomSweepPoints:
@@ -44,16 +44,15 @@ class TestRandomSweepPoints:
            variant=st.sampled_from(["default", "multicore-isp", "cxl-pud"]))
     @settings(max_examples=10, deadline=None)
     def test_engines_bit_equal(self, workload, policy, scale, variant):
-        results = []
-        for batched in (True, False):
-            platform = dataclasses.replace(
-                platform_variant(variant), batched_movement=batched,
-                contention_feedback=True)
-            runner = ExperimentRunner(
-                ExperimentConfig(workload_scale=scale, platform=platform))
-            results.append(
-                runner.run(workload_by_name(workload, scale=scale), policy))
-        assert_bit_equal(*results)
+        platform = dataclasses.replace(platform_variant(variant),
+                                       contention_feedback=True)
+        runner = ExperimentRunner(
+            ExperimentConfig(workload_scale=scale, platform=platform))
+        unit = workload_by_name(workload, scale=scale)
+        batched = runner.run(unit, policy)
+        per_page = execute_on(PerPagePlatform(platform),
+                              runner.program_for(unit), policy, unit.name)
+        assert_bit_equal(batched, per_page)
 
 
 class TestRandomPrograms:
@@ -64,12 +63,10 @@ class TestRandomPrograms:
     @settings(max_examples=15, deadline=None)
     def test_engines_bit_equal(self, stream, policy):
         program = build_program(stream)
-        results = []
-        for batched in (True, False):
-            runtime = ConduitRuntime(SSDPlatform(small_config(
-                batched_movement=batched, contention_feedback=True)))
-            results.append(runtime.execute(program, make_policy(policy)))
-        assert_bit_equal(*results)
+        config = small_config(contention_feedback=True)
+        assert_bit_equal(
+            *(execute_on(platform_class(config), program, policy)
+              for platform_class in (SSDPlatform, PerPagePlatform)))
 
 
 class TestCacheKeyIdentity:
@@ -82,7 +79,7 @@ class TestCacheKeyIdentity:
         base = ExperimentConfig(workload_scale=0.05).platform
         feedback = dataclasses.replace(base, contention_feedback=True)
         assert run_spec_key(RunSpec("AES", 0.05, "Conduit", feedback)) == (
-            "12390143a6c5f182ee4848825b84114bc9ff871f8c6667e1748143dfa728c127")
+            "d6da7e9af5e3bf9e9978953bd6234da55b642bc0cc4aebeb81ae1faa52667899")
 
     def test_other_platform_knobs_still_keyed(self):
         base = ExperimentConfig(workload_scale=0.05).platform

@@ -25,8 +25,6 @@ bit-identical (EWMA state is per-run, never leaked across shards).
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.common import MIB, OpType, SimulationError
@@ -279,15 +277,9 @@ class TestCacheKeyAndSweepIdentity:
         runner = ExperimentRunner(config)
         workload = Jacobi1DWorkload(scale=0.03)
         plain = runner.spec_for(workload, "Conduit")
-        for grown in (with_contention_feedback(config.platform),
-                      dataclasses.replace(config.platform,
-                                          contention_feedback=True,
-                                          contention_gain=3.0),
-                      dataclasses.replace(config.platform,
-                                          contention_feedback=True,
-                                          contention_ewma_alpha=0.9)):
-            spec = runner.spec_for(workload, "Conduit", platform=grown)
-            assert run_spec_key(spec) != run_spec_key(plain)
+        grown = with_contention_feedback(config.platform)
+        spec = runner.spec_for(workload, "Conduit", platform=grown)
+        assert run_spec_key(spec) != run_spec_key(plain)
 
     def test_feedback_on_sweep_serial_equals_parallel(self):
         # EWMA state lives on the per-run platform: a sharded sweep must

@@ -445,6 +445,17 @@ class TestCLI:
         assert "unknown platform variant 'warp-drive'" in captured.err
         assert "cxl-pud" in captured.err
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["run", "fig4"], ["compare", "fig8", "default", "default-feedback"]],
+        ids=["run", "compare"])
+    def test_bad_scale_exit_code_and_message(self, capsys, command, scale):
+        rc = cli_main(command + ["--scale", scale, "--serial", "--no-cache"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(
+            "error: workload scale must be positive and finite")
+
 
 class TestCompareCLI:
     """``python -m repro compare`` and its pinned JSON document schema."""

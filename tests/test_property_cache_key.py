@@ -208,8 +208,6 @@ SPECS = st.builds(
     platform=st.builds(
         PlatformConfig,
         contention_feedback=st.booleans(),
-        batched_movement=st.booleans(),
-        contention_gain=st.sampled_from([1.0, 2.0]),
         isp_cores=st.integers(min_value=1, max_value=2),
         cxl_pud=st.sampled_from([None, CXLPuDConfig()]),
     ),

@@ -6,7 +6,7 @@ from repro.common import MIB, OpType, Resource
 from repro.core.metrics import energy_reduction, geometric_mean, speedup
 from repro.core.offload.policies import make_policy
 from repro.core.platform import PlatformConfig, SSDPlatform
-from repro.core.runtime import ConduitRuntime, HostRuntime, RuntimeConfig
+from repro.core.runtime import ConduitRuntime, HostRuntime
 from repro.ssd.config import small_ssd_config
 
 
@@ -71,8 +71,7 @@ class TestConduitRuntime:
     def test_binary_transfer_adds_setup_time(self, tiny_vector_program,
                                              platform_config):
         platform = SSDPlatform(platform_config)
-        config = RuntimeConfig(transfer_binary=True)
-        with_transfer = ConduitRuntime(platform, config).execute(
+        with_transfer = ConduitRuntime(platform).execute(
             tiny_vector_program, make_policy("Conduit"))
         assert platform.ssd.nvme.latest_binary is not None
         assert with_transfer.total_time_ns > 0

@@ -112,14 +112,12 @@ def result_fingerprint(result):
 class TestRunSpec:
     def test_round_trips_through_pickle(self, tiny_config):
         spec = RunSpec(workload="jacobi-1d", scale=TINY_SCALE,
-                       policy="Conduit", platform=tiny_config.platform,
-                       runtime=tiny_config.runtime)
+                       policy="Conduit", platform=tiny_config.platform)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_key_is_stable_and_sensitive(self, tiny_config):
         spec = RunSpec(workload="jacobi-1d", scale=TINY_SCALE,
-                       policy="Conduit", platform=tiny_config.platform,
-                       runtime=tiny_config.runtime)
+                       policy="Conduit", platform=tiny_config.platform)
         assert run_spec_key(spec) == run_spec_key(
             pickle.loads(pickle.dumps(spec)))
         assert run_spec_key(spec) != run_spec_key(
