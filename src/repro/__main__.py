@@ -184,7 +184,6 @@ def _with_traces(definition, trace_paths: List[str]):
     """
     import dataclasses
 
-    from repro.experiments.registry import ExperimentDef  # noqa: F401
     from repro.workloads import ALL_WORKLOADS
     from repro.workloads.traces import register_trace_workload
     if definition.composite:

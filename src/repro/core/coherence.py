@@ -21,10 +21,10 @@ it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from repro.common import DataLocation, SimulationError
+from repro.common import DataLocation
 
 #: Size of the version counter in bits (stored as one byte; a 3-bit counter
 #: would suffice for the evaluated workloads -- Section 4.4, footnote 4).

@@ -16,11 +16,11 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common import OpType, SimulationError
-from repro.core.compiler.ir import (ArrayRef, ArraySpec, Immediate,
-                                     VectorInstruction, VectorProgram)
+from repro.core.compiler.ir import (ArrayRef, ArraySpec, VectorInstruction,
+                                    VectorProgram)
 from repro.ssd.nvme import NVMeInterface
 
 _MAGIC = b"CNDT"

@@ -16,7 +16,7 @@ vectorization (strip-mining) or leave them scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common import OpType, SimulationError
 from repro.core.compiler.ir import ArraySpec

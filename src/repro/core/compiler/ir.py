@@ -16,7 +16,7 @@ code (Section 4.3.1).  This module defines that optimized IR:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common import LatencyClass, OpClass, OpType, SimulationError

@@ -26,9 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common import OpType, SimulationError
 from repro.core.compiler.frontend import Loop, ScalarProgram, ScalarSection
-from repro.core.compiler.ir import (ArrayRef, ArraySpec, Immediate,
-                                     InstructionMetadata, VectorInstruction,
-                                     VectorProgram, DEFAULT_VECTOR_WIDTH)
+from repro.core.compiler.ir import (ArrayRef, Immediate, InstructionMetadata,
+                                    VectorInstruction, VectorProgram,
+                                    DEFAULT_VECTOR_WIDTH)
 from repro.common import LatencyClass, OpClass
 
 

@@ -108,8 +108,6 @@ class FeatureCollector:
     def __init__(self, platform: SSDPlatform, layout: ArrayLayout) -> None:
         self.platform = platform
         self.layout = layout
-        self.collections = 0
-        self.total_collection_latency_ns = 0.0
         # Static per-candidate facts -- support, home location, the
         # precomputed compute-latency point and the execution-queue handle
         # -- depend only on (op, size_bytes, element_bits) and the fixed
@@ -230,8 +228,6 @@ class FeatureCollector:
                 platform.contention_penalty_ns(resource, op, size_bytes,
                                                element_bits, movement, now)
                 if feedback else 0.0)
-        self.collections += 1
-        self.total_collection_latency_ns += collection_ns
         return InstructionFeatures(instruction.uid, op, locations,
                                    per_resource, collection_ns, runs)
 
@@ -251,9 +247,3 @@ class FeatureCollector:
                 if supported else float("inf"), queues[resource]))
         self._static_features[static_key] = static
         return static
-
-    @property
-    def average_collection_latency_ns(self) -> float:
-        if self.collections == 0:
-            return 0.0
-        return self.total_collection_latency_ns / self.collections

@@ -70,7 +70,11 @@ class SSDOffloader:
         self.policy = policy
         self.collector = FeatureCollector(platform, layout)
         self.transformer = InstructionTransformer(platform)
-        self.decisions: List[OffloadDecision] = []
+        #: Running overhead statistics (Section 4.5): sum, count and max
+        #: over every offloaded instruction, in dispatch order.
+        self._overhead_sum_ns = 0.0
+        self._overhead_count = 0
+        self._overhead_max_ns = 0.0
         # Dispatch-loop constants and handles, resolved once: the offload
         # path runs per instruction and per policy.
         self._is_ideal = policy.is_ideal
@@ -146,6 +150,10 @@ class SSDOffloader:
         core.busy_time += serial_ns
         core.jobs += 1
         issue_ns = dispatch_start + overhead_ns
+        self._overhead_sum_ns += overhead_ns
+        self._overhead_count += 1
+        if overhead_ns > self._overhead_max_ns:
+            self._overhead_max_ns = overhead_ns
 
         if self._is_ideal:
             compute = features.per_resource[resource].expected_compute_latency_ns
@@ -184,11 +192,9 @@ class SSDOffloader:
         self.platform.record_compute(start, resource, instruction.op,
                                      instruction.size_bytes,
                                      instruction.element_bits)
-        decision = OffloadDecision(instruction, resource, features, None,
-                                   dispatch_ns, start, start, end, compute,
-                                   0.0, overhead_ns)
-        self.decisions.append(decision)
-        return decision
+        return OffloadDecision(instruction, resource, features, None,
+                               dispatch_ns, start, start, end, compute, 0.0,
+                               overhead_ns)
 
     # -- Real execution (moves data, reserves queues) ---------------------------------------
 
@@ -263,23 +269,18 @@ class SSDOffloader:
             platform.coherence.on_write_run(dest_run[0], dest_run[1], home)
             platform.mark_produced_run(reservation.end, (dest_run,), home)
 
-        decision = OffloadDecision(instruction, resource, features,
-                                   transformed, dispatch_ns, ready,
-                                   reservation.start, end_ns, compute,
-                                   data_movement_ns, overhead_ns)
-        self.decisions.append(decision)
-        return decision
+        return OffloadDecision(instruction, resource, features, transformed,
+                               dispatch_ns, ready, reservation.start, end_ns,
+                               compute, data_movement_ns, overhead_ns)
 
     # -- Overhead statistics (Section 4.5) ---------------------------------------------------
 
     @property
     def average_overhead_ns(self) -> float:
-        if not self.decisions:
+        if not self._overhead_count:
             return 0.0
-        return sum(d.overhead_ns for d in self.decisions) / len(self.decisions)
+        return self._overhead_sum_ns / self._overhead_count
 
     @property
     def max_overhead_ns(self) -> float:
-        if not self.decisions:
-            return 0.0
-        return max(d.overhead_ns for d in self.decisions)
+        return self._overhead_max_ns

@@ -23,7 +23,7 @@ import abc
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common import OpType, Resource, ResourceLike, SimulationError
+from repro.common import Resource, ResourceLike, SimulationError
 from repro.core.compiler.ir import VectorInstruction
 from repro.core.offload.cost_model import CostFunction, CostModelConfig
 from repro.core.offload.features import InstructionFeatures

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common import OpType, Resource, ResourceLike, SimulationError
 from repro.core.compiler.ir import VectorInstruction

@@ -846,7 +846,7 @@ class SSDPlatform:
         ssd = self.ssd
         lifetime = self.config.lifetime
         engine = ssd.background
-        minimum, mean, maximum = ssd.array.erase_count_stats()
+        minimum, mean, maximum, variance = ssd.array.erase_count_summary()
         ftl_stats = ssd.ftl.stats
         amplification = 1.0
         if ftl_stats.host_writes:
@@ -865,7 +865,7 @@ class SSDPlatform:
             erase_count_min=minimum,
             erase_count_mean=mean,
             erase_count_max=maximum,
-            erase_count_variance=ssd.array.erase_count_variance(),
+            erase_count_variance=variance,
             wear_imbalance=ssd.wear_leveler.imbalance(),
             write_amplification=amplification,
             contention_samples=self.contention.samples)

@@ -10,7 +10,7 @@ two pools separate so the experiment harness can reproduce that breakdown.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.common import KIB, ResourceLike

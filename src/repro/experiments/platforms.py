@@ -33,8 +33,8 @@ from repro.common import MIB
 from repro.core.platform import PlatformConfig
 from repro.dram.cxl import CXLPuDConfig
 from repro.ssd.config import GCVictimPolicy
-from repro.ssd.lifetime import (DriveAgeProfile, LifetimeConfig,
-                                MID_LIFE_PROFILE, NEAR_EOL_PROFILE)
+from repro.ssd.lifetime import (DriveAgeProfile, MID_LIFE_PROFILE,
+                                NEAR_EOL_PROFILE)
 
 #: A variant maps a base platform configuration to the variant's shape.
 PlatformFactory = Callable[[PlatformConfig], PlatformConfig]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Type
+from typing import List
 
 from repro.common import SimulationError
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.common import ConfigurationError, GIB, KIB, MS, NS, US
+from repro.common import ConfigurationError, GIB, KIB, NS, US
 
 
 class GCVictimPolicy(enum.Enum):

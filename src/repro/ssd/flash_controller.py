@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.common import SimulationError
 from repro.ssd.config import NANDConfig
-from repro.ssd.events import BusGroup, MultiServer, Reservation
+from repro.ssd.events import BusGroup, MultiServer
 
 
 @dataclass

@@ -14,12 +14,12 @@ Section 4.5).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common import SimulationError
 from repro.ssd.allocator import AllocationPolicy, PageAllocator
-from repro.ssd.config import FTLConfig, NANDConfig
+from repro.ssd.config import FTLConfig
 from repro.ssd.nand import NANDArray, PhysicalPageAddress
 
 

@@ -179,6 +179,11 @@ class FlashPlane:
         self.cold_blocks = 0
         #: Erase count attributed to each unmaterialized cold block.
         self.cold_erase_count = 0
+        #: Free-block index: bit ``i`` is set iff block ``i`` is free.
+        #: Only :class:`NANDArray` changes it, on the same transitions that
+        #: move its free-block counter, so the allocator finds a free block
+        #: with one shift and one lowest-set-bit instead of a scan.
+        self._free_mask = (1 << blocks) - 1
 
     def block(self, index: int) -> FlashBlock:
         block = self._blocks.get(index)
@@ -195,11 +200,24 @@ class FlashPlane:
         return block
 
     def is_free_block(self, index: int) -> bool:
-        """Whether a block is free, without materializing it."""
-        block = self._blocks.get(index)
-        if block is None:
-            return index >= self.cold_blocks
-        return block.write_cursor == 0 and block.valid_pages == 0
+        """Whether a block is free, without materializing it.
+
+        A cold block is never free, even once something materializes it.
+        """
+        return 0 <= index and bool(self._free_mask >> index & 1)
+
+    def next_free_block(self, start: int) -> Optional[int]:
+        """The first free block at or after ``start``, wrapping around.
+
+        ``None`` when the plane has no free block.
+        """
+        mask = self._free_mask
+        above = mask >> start
+        if above:
+            return start + (above & -above).bit_length() - 1
+        if mask:
+            return (mask & -mask).bit_length() - 1
+        return None
 
     def materialized_blocks(self) -> Iterator[FlashBlock]:
         """The blocks that have been touched (others are free and erased)."""
@@ -209,8 +227,8 @@ class FlashPlane:
         """Cold blocks still accounted arithmetically (never materialized).
 
         A cold block can only materialize through an explicit
-        :meth:`block` call (the allocator and GC never pick one), but the
-        accounting stays correct if a test does it anyway.
+        :meth:`block` call or a read of one of its pages (the allocator
+        and GC never pick one); it stays cold and not free either way.
         """
         if not self.cold_blocks:
             return 0
@@ -259,8 +277,10 @@ class NANDArray:
         return self.dies[channel][die]
 
     def block(self, address: PhysicalBlockAddress) -> FlashBlock:
-        return (self.dies[address.channel][address.die]
-                .planes[address.plane].block(address.block))
+        return self._plane_of(address).block(address.block)
+
+    def _plane_of(self, address: PhysicalBlockAddress) -> FlashPlane:
+        return self.dies[address.channel][address.die].planes[address.plane]
 
     def iter_planes(self) -> Iterator[FlashPlane]:
         """Iterate over every plane in geometry order."""
@@ -307,6 +327,7 @@ class NANDArray:
                     "already materialized; age the drive before placement")
         plane_obj.cold_blocks = count
         plane_obj.cold_erase_count = erase_count
+        plane_obj._free_mask &= ~((1 << count) - 1)
         self._free_blocks -= count
 
     def load_block(self, address: PhysicalBlockAddress,
@@ -321,7 +342,7 @@ class NANDArray:
         never materialized (and is not cold) can be loaded: loading over
         live data would silently corrupt it.
         """
-        plane = self.dies[address.channel][address.die].planes[address.plane]
+        plane = self._plane_of(address)
         if address.block in plane._blocks or address.block < plane.cold_blocks:
             raise SimulationError(
                 f"block {address} is already materialized or cold; age the "
@@ -335,16 +356,18 @@ class NANDArray:
         block._invalid = set(invalid)
         block.write_cursor = write_cursor
         block.erase_count = erase_count
+        plane._free_mask &= ~(1 << address.block)
         self._free_blocks -= 1
 
     # -- State-changing operations ------------------------------------------
 
     def program_page(self, block_address: PhysicalBlockAddress,
                      lpa: int) -> PhysicalPageAddress:
-        block = self.block(block_address)
-        was_free = block.write_cursor == 0
-        page = block.program(lpa)
-        if was_free:
+        plane = self._plane_of(block_address)
+        page = plane.block(block_address.block).program(lpa)
+        bit = 1 << block_address.block
+        if plane._free_mask & bit:
+            plane._free_mask ^= bit
             self._free_blocks -= 1
         self.programs += 1
         return block_address.page(page)
@@ -360,10 +383,12 @@ class NANDArray:
         self.block(address.block_address()).invalidate(address.page)
 
     def erase_block(self, address: PhysicalBlockAddress) -> None:
-        block = self.block(address)
+        plane = self._plane_of(address)
+        block = plane.block(address.block)
         was_used = block.write_cursor > 0
         block.erase()
-        if was_used:
+        if was_used and address.block >= plane.cold_blocks:
+            plane._free_mask |= 1 << address.block
             self._free_blocks += 1
         self.erases += 1
 
@@ -421,22 +446,23 @@ class NANDArray:
         return minimum, maximum, total_sum, total_sq, total_blocks
 
     def erase_count_stats(self) -> tuple:
-        """Return (min, mean, max) erase counts across all blocks.
+        """Return (min, mean, max) erase counts across all blocks."""
+        return self.erase_count_summary()[:3]
 
-        Computed over the materialized blocks, the cold remainder and the
-        untouched remainder, so the statistics match a dense scan.
+    def erase_count_summary(self) -> tuple:
+        """Return (min, mean, max, population variance) of erase counts.
+
+        One walk over the materialized blocks; the cold and untouched
+        remainders are accounted arithmetically, so the statistics match a
+        dense scan.
         """
-        minimum, maximum, total_sum, _, total = self._erase_count_moments()
-        mean = total_sum / total if total else 0.0
-        return minimum, mean, maximum
-
-    def erase_count_variance(self) -> float:
-        """Population variance of per-block erase counts (wear spread)."""
-        _, _, total_sum, total_sq, total = self._erase_count_moments()
+        minimum, maximum, total_sum, total_sq, total = (
+            self._erase_count_moments())
         if not total:
-            return 0.0
+            return minimum, 0.0, maximum, 0.0
         mean = total_sum / total
-        return max(0.0, total_sq / total - mean * mean)
+        return (minimum, mean, maximum,
+                max(0.0, total_sq / total - mean * mean))
 
     # -- Timing helpers ------------------------------------------------------
 

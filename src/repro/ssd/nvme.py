@@ -15,7 +15,7 @@ Models the host<->SSD communication paths Conduit relies on (Section 4.4):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common import SimulationError

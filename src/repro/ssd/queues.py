@@ -16,7 +16,7 @@ is captured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.common import ResourceLike

@@ -12,14 +12,13 @@ PuD-SSD, IFP) are layered on top by the platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence
 
 from repro.common import SimulationError
 from repro.ssd.allocator import AllocationPolicy
 from repro.ssd.config import SSDConfig
-from repro.ssd.flash_controller import (FlashChannelSubsystem,
-                                        FlashOperationTiming)
+from repro.ssd.flash_controller import FlashChannelSubsystem
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.ssd.gc import GarbageCollector, GCResult
 from repro.ssd.nand import NANDArray, PhysicalPageAddress

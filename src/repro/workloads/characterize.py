@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.common import LatencyClass, OpType
 from repro.core.compiler.ir import VectorProgram
-from repro.core.compiler.vectorizer import (VectorizationReport,
-                                            VectorizerConfig)
+from repro.core.compiler.vectorizer import VectorizerConfig
 from repro.core.layout import ArrayLayout
 from repro.workloads.base import Workload
 

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common import ConfigurationError, SimulationError
 from repro.core.platform import PlatformConfig, SSDPlatform
+from repro.experiments import ExperimentConfig, ExperimentRunner
 from repro.experiments.runner import RunSpec, execute_run_spec
+from repro.ssd.allocator import PageAllocator
 from repro.ssd.config import (FTLConfig, GCVictimPolicy, NANDConfig,
                               SSDConfig, small_ssd_config)
 from repro.ssd.ftl import FlashTranslationLayer
@@ -27,6 +29,9 @@ from repro.ssd.lifetime import (DRIVE_AGE_PROFILES, MID_LIFE_PROFILE,
 from repro.ssd.nand import NANDArray, PhysicalBlockAddress
 from repro.ssd.ssd import SSD
 from repro.ssd.wear_leveling import WearLeveler
+from repro.workloads import workload_by_name
+from tests.random_programs import assert_bit_equal, execute_on
+from tests.test_nand import scan_free_block
 
 
 def tiny_nand() -> NANDConfig:
@@ -90,8 +95,7 @@ def array_state(ssd: SSD) -> tuple:
             [(block.address, block.write_cursor, block.valid_lpas(),
               block.page_states, block.erase_count)
              for block in array.iter_blocks()],
-            array.free_block_count(), array.erase_count_stats(),
-            array.erase_count_variance(),
+            array.free_block_count(), array.erase_count_summary(),
             (array.reads, array.programs, array.erases))
 
 
@@ -539,3 +543,66 @@ class TestPlatformIntegration:
         assert aged.maintenance.gc_relocated_pages > 0
         assert aged.maintenance.gc_erased_blocks > 0
         assert aged.total_time_ns > fresh.total_time_ns
+
+
+class LinearScanAllocator(PageAllocator):
+    """The free-block index's oracle: the allocator with the linear scan
+    from the plane's cursor that the index replaced."""
+
+    def _find_free_block(self, channel: int, die: int,
+                         plane: int) -> PhysicalBlockAddress:
+        key = (channel, die, plane)
+        plane_obj = self.array.die(channel, die).plane(plane)
+        index = scan_free_block(plane_obj, self._free_cursor.get(key, 0))
+        if index is None:
+            return None
+        self._free_cursor[key] = (index + 1) % plane_obj.block_count
+        return PhysicalBlockAddress(channel, die, plane, index)
+
+
+def record_block_opens(allocator: PageAllocator) -> list:
+    opened = []
+    find = allocator._find_free_block
+
+    def recording(channel: int, die: int, plane: int):
+        address = find(channel, die, plane)
+        opened.append(address)
+        return address
+
+    allocator._find_free_block = recording
+    return opened
+
+
+class TestFreeBlockIndexOnAgedDrives:
+    def test_near_eol_allocator_opens_the_oracle_block_sequence(self):
+        """A near-EOL drive starts every plane's cursor in front of its
+        cold blocks, and GC frees blocks behind it: the indexed allocator
+        must open exactly the blocks the linear scan opens, wrap-arounds
+        included, and every result must stay bit-exact."""
+        config = small_platform_config(
+            contention_feedback=True,
+            lifetime=LifetimeConfig(background_flash=True,
+                                    drive_age=NEAR_EOL_PROFILE))
+        runner = ExperimentRunner(
+            ExperimentConfig(workload_scale=0.05, platform=config))
+        program = runner.program_for(workload_by_name("AES", scale=0.05))
+        indexed, scanned = SSDPlatform(config), SSDPlatform(config)
+        ftl = scanned.ssd.ftl
+        ftl.allocator = LinearScanAllocator(ftl.array,
+                                            ftl.allocator.policy)
+        opens = [record_block_opens(p.ssd.ftl.allocator)
+                 for p in (indexed, scanned)]
+        assert_bit_equal(*(execute_on(p, program, "Conduit")
+                           for p in (indexed, scanned)))
+        for platform in (indexed, scanned):
+            now = 0.0
+            for write in range(3000):
+                now = platform.ssd.write_page(now, write % 400).end_ns
+        assert opens[0] == opens[1]
+        assert array_state(indexed.ssd) == array_state(scanned.ssd)
+        last, wraps = {}, 0
+        for address in opens[0]:
+            plane = (address.channel, address.die, address.plane)
+            wraps += address.block < last.get(plane, -1)
+            last[plane] = address.block
+        assert wraps > 0

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.common import MIB, OpType, Resource
+from repro.common import Resource
 from repro.core.metrics import energy_reduction, geometric_mean, speedup
 from repro.core.offload.policies import make_policy
-from repro.core.platform import PlatformConfig, SSDPlatform
+from repro.core.platform import SSDPlatform
 from repro.core.runtime import ConduitRuntime, HostRuntime
-from repro.ssd.config import small_ssd_config
 
 
 def run(program, policy_name, platform_config):

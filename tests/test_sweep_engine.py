@@ -30,7 +30,7 @@ from repro.experiments import (DEFAULT_SWEEP_CACHE_DIR, ExperimentConfig,
                                run_spec_key)
 from repro.experiments.runner import SWEEP_CACHE_ENV, SWEEP_WORKERS_ENV
 from repro.ssd.config import small_ssd_config
-from repro.workloads import Jacobi1DWorkload, Workload, workload_by_name
+from repro.workloads import Jacobi1DWorkload, workload_by_name
 
 TINY_SCALE = 0.03
 

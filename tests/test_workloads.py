@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.common import LatencyClass, OpType
+from repro.common import LatencyClass
 from repro.workloads import (ALL_WORKLOADS, MIN_SCALED_ELEMENTS, AESWorkload,
                              Heat3DWorkload, Jacobi1DWorkload,
                              LLMTrainingWorkload, LlamaInferenceWorkload,
